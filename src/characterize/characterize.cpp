@@ -408,11 +408,8 @@ model::StepCorrection characterizeStepCorrection(
 
   model::ProximityOptions noCorrection;
   noCorrection.applyCorrection = false;
-  const model::ProximityCalculator raw(
-      sim.gate().complex
-          ? model::senseResolverFor(*sim.gate().complex)
-          : model::senseResolverFor(sim.gate().spec.type),
-      singles, dual, {}, noCorrection);
+  const model::ProximityCalculator raw(model::senseResolverFor(sim.gate()),
+                                       singles, dual, {}, noCorrection);
 
   // Tasks in the legacy order (Rising k = 2..n, then Falling), including the
   // non-sensitizable prefixes: their indices stay stable so task-keyed fault

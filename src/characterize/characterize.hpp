@@ -102,12 +102,8 @@ class CharacterizedGate {
   /// gates get the structural dominance-sense resolver automatically.
   model::ProximityCalculator calculator(
       model::ProximityOptions options = {}) const {
-    if (gate.complex) {
-      return model::ProximityCalculator(model::senseResolverFor(*gate.complex),
-                                        *singles, *dual, correction, options);
-    }
-    return model::ProximityCalculator(gate.spec.type, *singles, *dual,
-                                      correction, options);
+    return model::ProximityCalculator(model::senseResolverFor(gate), *singles,
+                                      *dual, correction, options);
   }
 
   int pinCount() const { return gate.pinCount(); }

@@ -65,17 +65,32 @@ DominanceSense complexDominanceSense(const cells::ComplexCellSpec& spec,
   return DominanceSense::LatestFirst;
 }
 
+namespace {
+DominanceSense complexSenseFor(const cells::ComplexCellSpec& spec,
+                               const std::vector<InputEvent>& events) {
+  std::vector<int> pins;
+  pins.reserve(events.size());
+  for (const InputEvent& ev : events) pins.push_back(ev.pin);
+  return complexDominanceSense(spec, pins, events.front().edge);
+}
+}  // namespace
+
+DominanceSense dominanceSense(const Gate& gate,
+                              const std::vector<InputEvent>& events) {
+  return gate.complex ? complexSenseFor(*gate.complex, events)
+                      : dominanceSense(gate.spec.type, events.front().edge);
+}
+
 SenseResolver senseResolverFor(cells::GateType type) {
   return [type](const std::vector<InputEvent>& events) {
     return dominanceSense(type, events.front().edge);
   };
 }
 
-SenseResolver senseResolverFor(const cells::ComplexCellSpec& spec) {
-  return [spec](const std::vector<InputEvent>& events) {
-    std::vector<int> pins;
-    for (const InputEvent& ev : events) pins.push_back(ev.pin);
-    return complexDominanceSense(spec, pins, events.front().edge);
+SenseResolver senseResolverFor(const Gate& gate) {
+  if (!gate.complex) return senseResolverFor(gate.spec.type);
+  return [spec = *gate.complex](const std::vector<InputEvent>& events) {
+    return complexSenseFor(spec, events);
   };
 }
 

@@ -48,6 +48,11 @@ DominanceSense complexDominanceSense(const cells::ComplexCellSpec& spec,
                                      const std::vector<int>& switchingPins,
                                      wave::Edge inputEdge);
 
+/// Sense for @p events on @p gate: structural (complexDominanceSense) for a
+/// complex gate, by gate type otherwise.  Every resolver below agrees with it.
+DominanceSense dominanceSense(const Gate& gate,
+                              const std::vector<InputEvent>& events);
+
 /// Strategy that maps an event set to the dominance sense to use.
 using SenseResolver =
     std::function<DominanceSense(const std::vector<InputEvent>&)>;
@@ -55,8 +60,9 @@ using SenseResolver =
 /// Resolver for a simple gate type.
 SenseResolver senseResolverFor(cells::GateType type);
 
-/// Resolver for a complex gate (copies @p spec).
-SenseResolver senseResolverFor(const cells::ComplexCellSpec& spec);
+/// Resolver for @p gate: dominanceSense(gate, events) as a strategy (copies a
+/// complex gate's spec).
+SenseResolver senseResolverFor(const Gate& gate);
 
 /// Indices of @p events sorted by dominance (most dominant first) in the
 /// given sense.  Ties are broken by event order, matching the paper's

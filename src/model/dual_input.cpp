@@ -114,43 +114,25 @@ DualMemo::Pair OracleDualInputModel::evaluate(const DualQuery& q) const {
   return p;
 }
 
-double OracleDualInputModel::delayRatio(const DualQuery& q) const {
-  return evaluate(q).delayRatio;
+double OracleDualInputModel::ratio(const DualQuery& q) const {
+  const DualMemo::Pair p = evaluate(q);
+  return q.kind == DualKind::Delay ? p.delayRatio : p.transitionRatio;
 }
 
-double OracleDualInputModel::transitionRatio(const DualQuery& q) const {
-  return evaluate(q).transitionRatio;
+support::DiagnosticError missingTableError(const DualQuery& q) {
+  return support::DiagnosticError(
+      support::makeDiagnostic(
+          support::StatusCode::TableMissing,
+          q.kind == DualKind::Delay
+              ? "no dual delay table for reference pin"
+              : "no dual transition table for reference pin")
+          .withSite("model.dual")
+          .withPin(q.refPin));
 }
 
-namespace {
-// Process-unique ids index each thread's slot vector, so two threads (or two
-// model instances) never share clamp-stats storage.
-std::atomic<std::uint64_t> gNextStatsId{0};
-}  // namespace
-
-TabulatedDualInputModel::TabulatedDualInputModel(const SingleInputModelSet& singles)
-    : singles_(singles),
-      statsId_(gNextStatsId.fetch_add(1, std::memory_order_relaxed)) {}
-
-TabulatedDualInputModel::StatsSlot& TabulatedDualInputModel::statsSlot() const {
-  thread_local std::vector<StatsSlot> slots;
-  if (slots.size() <= statsId_) {
-    slots.resize(static_cast<std::size_t>(statsId_) + 1);
-  }
-  return slots[static_cast<std::size_t>(statsId_)];
-}
-
-TabulatedDualInputModel::ClampStats TabulatedDualInputModel::clampStats() const {
-  return statsSlot().stats;
-}
-
-void TabulatedDualInputModel::resetClampStats() const {
-  statsSlot() = StatsSlot{};
-}
-
-double TabulatedDualInputModel::lastClampDistance() const {
-  return statsSlot().lastClampDistance;
-}
+TabulatedDualInputModel::TabulatedDualInputModel(
+    const SingleInputModelSet& singles)
+    : singles_(singles) {}
 
 void TabulatedDualInputModel::setDelayTable(int refPin, wave::Edge edge,
                                             DualTable table) {
@@ -220,88 +202,56 @@ const DualTable& TabulatedDualInputModel::transitionTable(int refPin,
   return transitionTables_.at(key(refPin, edge));
 }
 
-double TabulatedDualInputModel::delayRatio(const DualQuery& q) const {
+DualResult TabulatedDualInputModel::lookup(const DualQuery& q) const {
   PROX_OBS_BATCH(obsCells);
   PROX_OBS_COUNT_IN(obsCells, "model.dual.table_lookups", 1);
   // Sampled 1-in-64: a lookup is ~100ns, so full timing would dominate it.
   PROX_OBS_SCOPED_HIST_NS_SAMPLED("model.dual.lookup_ns", 6);
-  StatsSlot& slot = statsSlot();
-  ++slot.stats.lookups;
-  slot.lastClampDistance = 0.0;
+  DualResult r;
+  if (!singles_.has(q.refPin, q.edge)) {
+    r.status = DualResult::Status::MissingTable;
+    return r;
+  }
   const SingleInputModel& m = singles_.at(q.refPin, q.edge);
+  const bool delay = q.kind == DualKind::Delay;
   const double d1 = m.delay(q.tauRef);
-  // Outside the proximity window the other input cannot affect the delay.
-  if (q.sep >= d1) {
+  const double norm = delay ? d1 : m.transition(q.tauRef);
+  // Outside its proximity window the other input cannot affect the delay
+  // (sep >= Delta^(1)) or the transition time (sep >= Delta^(1) + tau^(1)).
+  if (q.sep >= (delay ? d1 : d1 + norm)) {
     PROX_OBS_COUNT_IN(obsCells, "model.dual.window_shortcuts", 1);
-    return 1.0;
+    return r;
   }
-  auto pit = pairDelayTables_.find(pairKey(q.refPin, q.otherPin, q.edge));
-  const DualTable* t = nullptr;
-  if (pit != pairDelayTables_.end()) {
-    t = &pit->second;
-  } else if (auto it = delayTables_.find(key(q.refPin, q.edge));
-             it != delayTables_.end()) {
-    t = &it->second;
-  } else {
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.missing_tables", 1);
-    throw support::DiagnosticError(
-        support::makeDiagnostic(support::StatusCode::TableMissing,
-                                "no dual delay table for reference pin")
-            .withSite("model.dual")
-            .withPin(q.refPin));
+  // The pair table when one exists, else the per-reference one.
+  const auto find = [](const std::map<int, DualTable>& tables, int k) {
+    const auto it = tables.find(k);
+    return it == tables.end() ? nullptr : &it->second;
+  };
+  const DualTable* t =
+      find(delay ? pairDelayTables_ : pairTransitionTables_,
+           pairKey(q.refPin, q.otherPin, q.edge));
+  if (t == nullptr) {
+    t = find(delay ? delayTables_ : transitionTables_, key(q.refPin, q.edge));
+    if (t == nullptr) {
+      PROX_OBS_COUNT_IN(obsCells, "model.dual.missing_tables", 1);
+    }
   }
-  double dist = 0.0;
-  const double r =
-      t->interpolate(q.tauRef / d1, q.tauOther / d1, q.sep / d1, &dist);
-  slot.lastClampDistance = dist;
-  if (dist > 0.0) {
-    ++slot.stats.clamped;
-    slot.stats.maxDistance = std::max(slot.stats.maxDistance, dist);
+  if (t == nullptr || t->u.empty() || t->v.empty() || t->w.empty()) {
+    r.status = DualResult::Status::MissingTable;
+    return r;
+  }
+  r.value = t->interpolate(q.tauRef / norm, q.tauOther / norm, q.sep / norm,
+                           &r.clampDistance);
+  if (r.clampDistance > 0.0) {
     PROX_OBS_COUNT_IN(obsCells, "model.dual.clamped_lookups", 1);
   }
   return r;
 }
 
-double TabulatedDualInputModel::transitionRatio(const DualQuery& q) const {
-  PROX_OBS_BATCH(obsCells);
-  PROX_OBS_COUNT_IN(obsCells, "model.dual.table_lookups", 1);
-  PROX_OBS_SCOPED_HIST_NS_SAMPLED("model.dual.lookup_ns", 6);
-  StatsSlot& slot = statsSlot();
-  ++slot.stats.lookups;
-  slot.lastClampDistance = 0.0;
-  const SingleInputModel& m = singles_.at(q.refPin, q.edge);
-  const double d1 = m.delay(q.tauRef);
-  const double t1 = m.transition(q.tauRef);
-  // Transition-time proximity window: sep < Delta^(1) + tau^(1).
-  if (q.sep >= d1 + t1) {
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.window_shortcuts", 1);
-    return 1.0;
-  }
-  auto pit = pairTransitionTables_.find(pairKey(q.refPin, q.otherPin, q.edge));
-  const DualTable* t = nullptr;
-  if (pit != pairTransitionTables_.end()) {
-    t = &pit->second;
-  } else if (auto it = transitionTables_.find(key(q.refPin, q.edge));
-             it != transitionTables_.end()) {
-    t = &it->second;
-  } else {
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.missing_tables", 1);
-    throw support::DiagnosticError(
-        support::makeDiagnostic(support::StatusCode::TableMissing,
-                                "no dual transition table for reference pin")
-            .withSite("model.dual")
-            .withPin(q.refPin));
-  }
-  double dist = 0.0;
-  const double r =
-      t->interpolate(q.tauRef / t1, q.tauOther / t1, q.sep / t1, &dist);
-  slot.lastClampDistance = dist;
-  if (dist > 0.0) {
-    ++slot.stats.clamped;
-    slot.stats.maxDistance = std::max(slot.stats.maxDistance, dist);
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.clamped_lookups", 1);
-  }
-  return r;
+double TabulatedDualInputModel::ratio(const DualQuery& q) const {
+  const DualResult r = lookup(q);
+  if (r.status != DualResult::Status::Ok) throw missingTableError(q);
+  return r.value;
 }
 
 void TabulatedDualInputModel::appendView(const DualTable& t) {
@@ -431,7 +381,7 @@ void TabulatedDualInputModel::evaluateMany(std::span<const DualQuery> queries,
   PROX_OBS_BATCH(obsCells);
   PROX_OBS_COUNT_IN(obsCells, "model.dual.batch_calls", 1);
   PROX_OBS_COUNT_IN(obsCells, "model.dual.batch_queries", n);
-  // Scalar parity: delayRatio/transitionRatio count every entry as a lookup.
+  // lookup() parity: every entry counts as a lookup.
   PROX_OBS_COUNT_IN(obsCells, "model.dual.table_lookups", n);
   recordDispatchPath();
 
@@ -483,9 +433,8 @@ void TabulatedDualInputModel::evaluateMany(std::span<const DualQuery> queries,
     }
     s.alive[i] = m != nullptr ? 1 : 0;
     if (m == nullptr) {
-      // The scalar path's singles_.at() would throw here without counting
-      // missing_tables; the batch marks the lane instead.  Benign operands
-      // keep the dead lane's vector arithmetic out of NaN territory.
+      // lookup() parity: marked without counting missing_tables.  Benign
+      // operands keep the dead lane's vector arithmetic out of NaN territory.
       rs[i].status = DualResult::Status::MissingTable;
       s.sNum[i] = 0.0;
       s.sDen[i] = 1.0;
@@ -565,14 +514,13 @@ void TabulatedDualInputModel::evaluateMany(std::span<const DualQuery> queries,
       norm = t1;
     }
     if (vi < 0) {
-      ++missing;  // scalar parity: counted before the TableMissing throw
+      ++missing;  // lookup() parity
       rs[i].status = DualResult::Status::MissingTable;
       continue;
     }
     const TableView& tv = views_[static_cast<std::size_t>(vi)];
     if (tv.nu == 0 || tv.nv == 0 || tv.nw == 0) {
-      // Scalar interpolate() throws TableMissing ("empty grid") here without
-      // counting missing_tables.
+      // lookup() parity: an empty grid is missing, but not counted as such.
       rs[i].status = DualResult::Status::MissingTable;
       continue;
     }

@@ -27,7 +27,7 @@
 
 namespace prox::model {
 
-/// Which of the two macromodel quantities a batched query asks for.
+/// Which of the two macromodel quantities a query asks for.
 enum class DualKind : std::uint8_t {
   Delay,       ///< Delta^(2)/Delta^(1)
   Transition,  ///< tau^(2)/tau^(1)
@@ -43,35 +43,44 @@ struct DualQuery {
   double tauRef = 0.0;
   double tauOther = 0.0;
   double sep = 0.0;
-  /// Only consulted by the batched evaluateMany() path; the scalar
-  /// delayRatio()/transitionRatio() entry points imply the kind.
   DualKind kind = DualKind::Delay;
 };
 
-/// One answer from the batched path.  Where the scalar entry points throw
-/// (no table covers the query), the batch marks the lane instead so one bad
-/// query cannot poison its whole batch.
+/// One answer from lookup()/evaluateMany().  Where ratio() throws (no table
+/// covers the query), the answer is marked instead, so one bad query cannot
+/// poison its whole batch.
 struct DualResult {
   enum class Status : std::uint8_t {
     Ok,
     MissingTable,  ///< no single-input model or no dual table for the query
   };
   double value = 1.0;
-  /// Relative overshoot outside the table grid (0 for in-grid queries) --
-  /// the same quantity the scalar path reports via lastClampDistance().
+  /// Relative overshoot outside the table grid (0 for in-grid queries), as
+  /// DualTable::interpolate() reports it.
   double clampDistance = 0.0;
   Status status = Status::Ok;
 };
+
+/// The typed error ratio() throws for a query no table answers:
+/// TableMissing, with the reference pin attached.
+support::DiagnosticError missingTableError(const DualQuery& q);
 
 class DualInputModel {
  public:
   virtual ~DualInputModel() = default;
 
-  /// Delta^(2)/Delta^(1) for the query (>= 0; -> 1 as sep leaves the window).
-  virtual double delayRatio(const DualQuery& q) const = 0;
+  /// The ratio @p q's kind asks for: Delta^(2)/Delta^(1) (>= 0; -> 1 as sep
+  /// leaves the window) or tau^(2)/tau^(1).
+  virtual double ratio(const DualQuery& q) const = 0;
 
-  /// tau^(2)/tau^(1) for the query.
-  virtual double transitionRatio(const DualQuery& q) const = 0;
+  double delayRatio(DualQuery q) const {
+    q.kind = DualKind::Delay;
+    return ratio(q);
+  }
+  double transitionRatio(DualQuery q) const {
+    q.kind = DualKind::Transition;
+    return ratio(q);
+  }
 };
 
 /// Simulation-backed macromodel with memoization.
@@ -85,8 +94,7 @@ class OracleDualInputModel : public DualInputModel {
   OracleDualInputModel(GateSimulator& sim, const SingleInputModelSet& singles,
                        DualMemo* memo);
 
-  double delayRatio(const DualQuery& q) const override;
-  double transitionRatio(const DualQuery& q) const override;
+  double ratio(const DualQuery& q) const override;
 
  private:
   DualMemo::Pair evaluate(const DualQuery& q) const;
@@ -193,39 +201,20 @@ class TabulatedDualInputModel : public DualInputModel {
   /// All installed pair-table keys as (refPin, otherPin, edge) tuples.
   std::vector<std::tuple<int, int, wave::Edge>> pairKeys() const;
 
-  /// Lookups whose query fell outside a table grid are answered with the
-  /// clamped boundary value instead of throwing; these running totals let a
-  /// caller (STA's degraded-arc logic, tests) see how often and how far.
-  ///
-  /// The stats are *per thread* (thread-local scratch keyed by instance):
-  /// the reset/compute/inspect pattern used for arc-scoped accounting stays
-  /// race-free when multiple pool workers evaluate arcs against the same
-  /// model concurrently.  Each thread sees only its own tallies.
-  ///
-  /// evaluateMany() does NOT touch these: each batched lane carries its own
-  /// clampDistance in its DualResult, and the caller does its own arc-scoped
-  /// accounting from those.
-  struct ClampStats {
-    std::uint64_t lookups = 0;   ///< total delay/transition ratio queries
-    std::uint64_t clamped = 0;   ///< queries that fell outside the grid
-    double maxDistance = 0.0;    ///< worst relative overshoot seen
-  };
-  ClampStats clampStats() const;
-  void resetClampStats() const;
-  /// Relative overshoot of this thread's most recent delayRatio/
-  /// transitionRatio query (0 when it was in-grid).
-  double lastClampDistance() const;
+  /// Scalar reference lookup (the DualTable map walk plus
+  /// DualTable::interpolate()): @p q's kind selects the delay or transition
+  /// table.  A query outside a table grid is answered with the clamped
+  /// boundary value and its clamp distance; a query no table covers comes
+  /// back with Status::MissingTable.
+  DualResult lookup(const DualQuery& q) const;
 
-  /// Throws support::DiagnosticError with code TableMissing (carrying the
-  /// reference pin) when no table covers the query.
-  double delayRatio(const DualQuery& q) const override;
-  double transitionRatio(const DualQuery& q) const override;
+  /// lookup(); throws missingTableError() when no table covers the query.
+  double ratio(const DualQuery& q) const override;
 
   /// Batched evaluation over the compiled SoA arena: answers queries[i]
-  /// (its kind selecting delay vs transition) into results[i].  Values,
-  /// clamp distances and window shortcuts are bit-identical to the
-  /// corresponding scalar call; queries no table covers come back with
-  /// Status::MissingTable instead of throwing.  Grid location runs per lane;
+  /// (its kind selecting delay vs transition) into results[i], bit-identical
+  /// to lookup(queries[i]) -- values, clamp distances, statuses and window
+  /// shortcuts.  Grid location runs per lane;
   /// the trilinear blend runs through the simd:: dispatch shim (AVX2/NEON
   /// with a scalar fallback, PROX_SIMD=off override).
   ///
@@ -244,13 +233,6 @@ class TabulatedDualInputModel : public DualInputModel {
   static int pairKey(int refPin, int otherPin, wave::Edge edge) {
     return (refPin * 64 + otherPin) * 2 + (edge == wave::Edge::Rising ? 0 : 1);
   }
-  struct StatsSlot {
-    ClampStats stats;
-    double lastClampDistance = 0.0;
-  };
-  /// The calling thread's stats slot for this instance.
-  StatsSlot& statsSlot() const;
-
   /// One table's compiled view: dimensions plus offsets into arena_ for the
   /// three axis grids and the value plane.  strideU/strideV are the
   /// precomputed flattening strides (nv*nw and nw) so lane index arithmetic
@@ -275,8 +257,6 @@ class TabulatedDualInputModel : public DualInputModel {
   std::map<int, DualTable> transitionTables_;
   std::map<int, DualTable> pairDelayTables_;
   std::map<int, DualTable> pairTransitionTables_;
-  /// Process-unique instance id indexing the thread-local stats slots.
-  std::uint64_t statsId_;
 
   // --- compiled SoA index (rebuilt by rebuildIndex) ---
   std::vector<double> arena_;      ///< all grids + value planes, contiguous

@@ -21,7 +21,9 @@
 //      characterized simultaneous-step error) for s_{y1,ym} <= 0, decaying
 //      linearly to zero at s_{y1,ym} = Delta^{(m-1)}.
 
-#include <optional>
+#include <algorithm>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "model/dominance.hpp"
@@ -82,6 +84,93 @@ struct ProximityResult {
   double correctionApplied = 0.0;  ///< signed corrective delay term [s]
 };
 
+/// Algorithm ProximityDelay for one arc, written once as a fold that a query
+/// sink answers round by round.  Each round stages the next input inside a
+/// proximity window: its transition query, plus its delay query inside the
+/// delay window.
+///
+///   fold.start(events, sense, singles, options);
+///   while (fold.next()) {
+///     const double t = ratio(fold.query(DualKind::Transition));
+///     const double d = fold.inDelayWindow()
+///                          ? ratio(fold.query(DualKind::Delay)) : 1.0;
+///     fold.apply(t, d);
+///   }
+///   fold.finish(correction);
+///
+/// The fold owns everything else: dominance order, window exits and skips,
+/// the recurrence, the corrective term and the result.
+/// ProximityCalculator::compute() answers with the DualInputModel's scalar
+/// lookups; sta::evaluateGateBatch() advances a chunk of folds in lockstep
+/// and answers each round with one evaluateMany() per table model.
+class ProximityFold {
+ public:
+  /// Steps 1-2: orders @p events (non-empty, same-direction, outliving the
+  /// fold's use) and seeds the recurrence with the dominant input's
+  /// Delta^(1)/tau^(1).  Throws when a needed single-input model is missing.
+  /// Buffers keep their capacity across arcs.
+  void start(const std::vector<InputEvent>& events, DominanceSense sense,
+             const SingleInputModelSet& singles,
+             const ProximityOptions& options);
+
+  /// Step 3's loop: moves to the next input inside a proximity window and
+  /// stages it; false once the loop is over.
+  bool next();
+  bool inDelayWindow() const { return inDelayWindow_; }
+  /// The staged input's query (the delay query only inside the delay window).
+  DualQuery query(DualKind kind) const;
+  /// Folds the staged input's answers in (@p delayRatio is ignored outside
+  /// the delay window).
+  void apply(double transitionRatio, double delayRatio);
+
+  /// Step 5: the corrective term, once next() has returned false.
+  void finish(const StepCorrection& correction);
+  double outputRefTime() const { return y1_.tRef + dCum_; }
+  double transitionTime() const { return std::max(tCum_, 0.0); }
+  /// The finished fold's full result (moves the pin lists out).
+  ProximityResult result() &&;
+
+  /// Marks the fold unused, so recordStats() skips it until the next start().
+  void reset() { started_ = false; }
+
+  /// Emits the model.proximity.* tallies of @p folds in one registry update:
+  /// a started fold counts as a compute with its window exits and skips so
+  /// far; a finished one adds its processed inputs and corrective term.
+  static void recordStats(std::span<const ProximityFold> folds);
+
+ private:
+  const std::vector<InputEvent>* events_ = nullptr;
+  DominanceSense sense_ = DominanceSense::EarliestFirst;
+  ProximityOptions options_;
+  std::vector<std::size_t> order_;
+  std::size_t idx_ = 1;  ///< position in order_ of the next input to visit
+
+  InputEvent y1_;
+  double d1_ = 0.0, t1_ = 0.0;      ///< Delta_{y1}^{(1)}, tau_{y1}^{(1)}
+  double dCum_ = 0.0, tCum_ = 0.0;  ///< Delta^{(i-1)}, tau^{(i-1)}
+  /// Delta^{(m-1)}: cumulative delay *before* the last processed input was
+  /// folded in -- the corrective term's decay length.
+  double dBeforeLast_ = 0.0;
+  double sLast_ = 0.0;  ///< s_{y1, ym} of the last processed input
+
+  InputEvent yi_;   ///< the staged input
+  double s_ = 0.0;  ///< its s_{y1, yi}
+  bool inDelayWindow_ = false;
+
+  std::vector<int> processedPins_, transitionOnlyPins_;
+  double correction_ = 0.0;
+
+  bool started_ = false, finished_ = false, reordered_ = false;
+  std::uint64_t windowExits_ = 0, windowSkipped_ = 0;
+};
+
+/// Classic single-input-switching calculation: the most dominant input's
+/// Delta^(1)/tau^(1) with proximity ignored.  @p events must be non-empty;
+/// throws when the dominant input's single-input model is missing.
+ProximityResult classicDelay(const std::vector<InputEvent>& events,
+                             DominanceSense sense,
+                             const SingleInputModelSet& singles);
+
 class ProximityCalculator {
  public:
   /// All references must outlive the calculator.  @p gateType selects the
@@ -92,21 +181,21 @@ class ProximityCalculator {
                       StepCorrection correction = {},
                       ProximityOptions options = {});
 
-  /// Variant with an explicit dominance-sense strategy (used for complex
-  /// gates, where the sense depends on the switching subnetwork).
+  /// Variant with an explicit dominance-sense strategy (senseResolverFor()
+  /// in dominance.hpp; complex gates need the structural one).
   ProximityCalculator(SenseResolver sense, const SingleInputModelSet& singles,
                       const DualInputModel& dual,
                       StepCorrection correction = {},
                       ProximityOptions options = {});
 
-  /// Computes delay/transition for a set of same-direction input events.
-  /// Throws std::invalid_argument for empty input or mixed directions (use
+  /// Computes delay/transition for a set of same-direction input events: the
+  /// ProximityFold answered by the dual model's scalar lookups.  Throws
+  /// std::invalid_argument for empty input or mixed directions (use
   /// GlitchModel for opposite transitions).
   ProximityResult compute(const std::vector<InputEvent>& events) const;
 
-  /// Classic single-input-switching calculation for the same events: the
-  /// dominant input's Delta^(1)/tau^(1) with proximity ignored.  Used by the
-  /// ablation and STA-comparison benches.
+  /// classicDelay() for the same events.  Used by the ablation and
+  /// STA-comparison benches.
   ProximityResult computeClassic(const std::vector<InputEvent>& events) const;
 
  private:

@@ -332,6 +332,13 @@ void resetAll();
 #define PROX_ENABLE_STATS 1
 #endif
 
+namespace prox::obs {
+/// True when the PROX_OBS_* macros are compiled in.  Code that asserts
+/// counter values must check this, not enabled(): with stats compiled out
+/// every counter stays 0 while the runtime switch still reads true.
+inline constexpr bool kStatsCompiledIn = PROX_ENABLE_STATS != 0;
+}  // namespace prox::obs
+
 #if PROX_ENABLE_STATS
 /// Adds @p n to the counter named @p name (a string literal).
 #define PROX_OBS_COUNT(name, n)                                      \

@@ -5,6 +5,8 @@
 
 #include <limits>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "characterize/characterize.hpp"
 #include "sta/netlist.hpp"
@@ -61,21 +63,42 @@ struct DelayCalcOptions {
   StructuralPolicy structural = StructuralPolicy::Reject;
 };
 
-/// Computes the output arrival of @p cell given per-pin input arrivals
+/// One arc of a batch: a characterized cell and its per-pin input arrivals
 /// (nullopt for pins whose nets are stable at the non-controlling level).
-/// All switching pins must share a direction; returns nullopt when no pin
-/// switches.  Throws std::invalid_argument on mixed directions or pin-count
-/// mismatch (caller bugs are never degraded away).  Model-side failures
-/// follow opt.allowDegraded; @p quality (when non-null) receives how far
-/// down the fallback ladder the arc landed.
+/// Both pointees must outlive the call.
+struct BatchArc {
+  const characterize::CharacterizedGate* cell = nullptr;
+  const std::vector<std::optional<Arrival>>* pins = nullptr;
+};
+
+struct BatchArcResult {
+  std::optional<Arrival> arrival;  ///< nullopt when no pin switches
+  ArcQuality quality = ArcQuality::Full;
+};
+
+/// Evaluates arcs[i] into results[i] (@p results at least as long as
+/// @p arcs).  In Proximity mode every arc runs Algorithm ProximityDelay as a
+/// model::ProximityFold; the chunk's folds advance in lockstep rounds and
+/// each round's dual-table queries are answered with one
+/// TabulatedDualInputModel::evaluateMany() per model.  An arc whose
+/// requested mode fails (missing table or single-input model, a lookup
+/// clamped beyond opt.maxClampDistance) degrades down the ladder
+/// Proximity -> classic -> slew estimate when opt.allowDegraded is set.
+/// All switching pins of an arc must share a direction.  After every arc is
+/// evaluated, the lowest-index arc's error is thrown: std::invalid_argument
+/// for mixed directions or a pin-count mismatch (caller bugs are never
+/// degraded away), or, with allowDegraded off, the failing rung's error.
+void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
+                       const DelayCalcOptions& opt,
+                       std::span<BatchArcResult> results);
+
+/// evaluateGateBatch() over one arc: the output arrival of @p cell, or
+/// nullopt when no pin switches.  @p quality (when non-null) receives how
+/// far down the fallback ladder the arc landed.
 std::optional<Arrival> evaluateGate(const characterize::CharacterizedGate& cell,
                                     const std::vector<std::optional<Arrival>>& pins,
                                     DelayMode mode,
-                                    const DelayCalcOptions& opt,
+                                    const DelayCalcOptions& opt = {},
                                     ArcQuality* quality = nullptr);
-
-std::optional<Arrival> evaluateGate(const characterize::CharacterizedGate& cell,
-                                    const std::vector<std::optional<Arrival>>& pins,
-                                    DelayMode mode);
 
 }  // namespace prox::sta

@@ -147,7 +147,9 @@ LevelizeResult Netlist::levelize(StructuralPolicy policy) const {
 
   std::vector<char> degraded(n, 0);
   const auto report = [&](StructuralIssue issue, const NodeId* degradeIdx) {
-    PROX_OBS_COUNT(issueCounter(issue.kind), 1);
+    // Looked up by name: PROX_OBS_COUNT caches its counter in a static, which
+    // would pin every kind to the first one counted.
+    if (obs::kStatsCompiledIn) obs::counter(issueCounter(issue.kind)).add(1);
     if (reject) {
       failStructural("Netlist: " + issue.message);
     }

@@ -8,7 +8,6 @@
 #include "obs/scoped_timer.hpp"
 #include "obs/trace.hpp"
 #include "par/parallel_for.hpp"
-#include "sta/batch_eval.hpp"
 #include "support/budget.hpp"
 
 namespace prox::sta {
@@ -60,94 +59,57 @@ void TimingAnalyzer::run() {
 
   // Levelized evaluation: all arcs of one level read only arrivals committed
   // by earlier levels, so a level's tasks share the arrival array read-only
-  // and each writes its own result slot.  Slots commit serially in node
-  // order between levels, making arrival values (and degradedArcs_)
-  // bit-identical at any thread count.  Task indices restart per level, so
-  // task-keyed fault plans address "arc i of each level" deterministically.
-  struct ArcResult {
-    std::optional<Arrival> out;
-    ArcQuality quality = ArcQuality::Full;
-  };
-  std::vector<ArcResult> results;
+  // and each writes its own result slots.  A task owns a fixed 64-arc chunk
+  // of the level and feeds it to evaluateGateBatch, which answers the
+  // chunk's dual-table queries through evaluateMany.  Slots commit serially
+  // in node order between levels, making arrival values (and
+  // degradedArcs_) bit-identical at any thread count and independent of the
+  // chunking.  Task indices restart per level, so task-keyed fault plans
+  // address "chunk c of each level" deterministically.
+  constexpr std::size_t kChunk = 64;
+  std::vector<BatchArcResult> results;
   for (std::size_t levelIndex = 0; levelIndex < structure.levelCount();
        ++levelIndex) {
     PROX_OBS_SPAN_ARG("sta.level", "level", levelIndex);
     support::budgetCheckRss("sta.timing_graph");
     const std::span<const NodeId> level =
         structure.level(LevelId(static_cast<std::uint32_t>(levelIndex)));
-    results.assign(level.size(), ArcResult{});
-    if (mode_ == DelayMode::Proximity) {
-      // Batched evaluation: each task owns a fixed-size run of the level and
-      // feeds it to evaluateGateBatch, which answers all the run's dual-table
-      // queries through evaluateMany (amortized grid location, vectorized
-      // blends).  Results are bit-identical to the per-arc path; the serial
-      // commit loop below is unchanged, so arrival values stay independent
-      // of the chunking and the thread count.
-      constexpr std::size_t kChunk = 64;
-      const std::size_t chunkCount = (level.size() + kChunk - 1) / kChunk;
-      par::parallelFor(
-          chunkCount,
-          [&](std::size_t c) {
-            const std::size_t begin = c * kChunk;
-            const std::size_t end = std::min(begin + kChunk, level.size());
-            const std::size_t count = end - begin;
-            PROX_OBS_COUNT("sta.graph.nodes_visited", count);
-            // Per-thread chunk scratch: one chunk is in flight per thread at
-            // a time, so reusing these across chunks (capacity preserved)
-            // removes ~2 allocations per arc from the batched inner loop.
-            thread_local std::vector<std::vector<std::optional<Arrival>>>
-                pinsBuf;
-            thread_local std::vector<BatchArc> arcs;
-            thread_local std::vector<BatchArcResult> out;
-            if (pinsBuf.size() < count) pinsBuf.resize(count);
-            arcs.assign(count, BatchArc{});
-            for (std::size_t k = 0; k < count; ++k) {
-              const NodeId node = level[begin + k];
-              const std::span<const NetId> inputs = netlist_.nodeInputs(node);
-              std::vector<std::optional<Arrival>>& pins = pinsBuf[k];
-              pins.clear();
-              pins.reserve(inputs.size());
-              for (const NetId net : inputs) {
-                pins.push_back(hasArrival_[net.value] != 0
-                                   ? std::optional<Arrival>(arrivals_[net.value])
-                                   : std::nullopt);
-              }
-              arcs[k].cell = &netlist_.nodeCell(node);
-              arcs[k].pins = &pins;
-            }
-            out.assign(count, BatchArcResult{});
-            evaluateGateBatch(std::span<const BatchArc>(arcs.data(), count),
-                              mode_, options_, out);
-            for (std::size_t k = 0; k < count; ++k) {
-              results[begin + k].out = out[k].arrival;
-              results[begin + k].quality = out[k].quality;
-            }
-          },
-          {.threads = threads, .failFast = true, .cancel = options_.cancel});
-    } else {
-      par::parallelFor(
-          level.size(),
-          [&](std::size_t i) {
-            const NodeId node = level[i];
-            PROX_OBS_COUNT("sta.graph.nodes_visited", 1);
-            const std::span<const NetId> inputs = netlist_.nodeInputs(node);
-            std::vector<std::optional<Arrival>> pins;
-            pins.reserve(inputs.size());
-            for (const NetId net : inputs) {
+    results.assign(level.size(), BatchArcResult{});
+    const std::size_t chunkCount = (level.size() + kChunk - 1) / kChunk;
+    par::parallelFor(
+        chunkCount,
+        [&](std::size_t c) {
+          const std::size_t begin = c * kChunk;
+          const std::size_t count = std::min(kChunk, level.size() - begin);
+          PROX_OBS_COUNT("sta.graph.nodes_visited", count);
+          // Per-thread chunk scratch: one chunk is in flight per thread at a
+          // time, so reusing these across chunks (capacity preserved)
+          // removes ~2 allocations per arc from the inner loop.
+          thread_local std::vector<std::vector<std::optional<Arrival>>> pinsBuf;
+          thread_local std::vector<BatchArc> arcs;
+          if (pinsBuf.size() < count) pinsBuf.resize(count);
+          arcs.assign(count, BatchArc{});
+          for (std::size_t k = 0; k < count; ++k) {
+            const NodeId node = level[begin + k];
+            std::vector<std::optional<Arrival>>& pins = pinsBuf[k];
+            pins.clear();
+            for (const NetId net : netlist_.nodeInputs(node)) {
               pins.push_back(hasArrival_[net.value] != 0
                                  ? std::optional<Arrival>(arrivals_[net.value])
                                  : std::nullopt);
             }
-            results[i].out = evaluateGate(netlist_.nodeCell(node), pins, mode_,
-                                          options_, &results[i].quality);
-          },
-          {.threads = threads, .failFast = true, .cancel = options_.cancel});
-    }
+            arcs[k] = {&netlist_.nodeCell(node), &pins};
+          }
+          evaluateGateBatch(std::span<const BatchArc>(arcs.data(), count),
+                            mode_, options_,
+                            std::span(results).subspan(begin, count));
+        },
+        {.threads = threads, .failFast = true, .cancel = options_.cancel});
     for (std::size_t i = 0; i < level.size(); ++i) {
       const NodeId node = level[i];
-      if (results[i].out) {
+      if (results[i].arrival) {
         const NetId out = netlist_.nodeOutput(node);
-        arrivals_[out.value] = *results[i].out;
+        arrivals_[out.value] = *results[i].arrival;
         hasArrival_[out.value] = 1;
       }
       if (results[i].quality != ArcQuality::Full ||

@@ -156,7 +156,7 @@ TEST(CharacterizationDeterminism, SparseSolvePathBitIdenticalAtOneAndEight) {
                                                     smallConfig(8));
   expectCellsIdentical(serial, eight);
 
-  if (obs::enabled()) {
+  if (obs::kStatsCompiledIn) {
     const auto after = obs::snapshot();
     // Both the full-factor and the refactor numeric phases must have fired:
     // characterization transient solves run through SparseLu, not the dense
@@ -511,27 +511,16 @@ void expectBatchMatchesScalar(const BatchedFixture& fx,
   fx.model->evaluateMany(qs, batch);
   std::size_t missing = 0;
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    double scalar = 0.0;
-    bool threw = false;
-    try {
-      scalar = qs[i].kind == model::DualKind::Delay
-                   ? fx.model->delayRatio(qs[i])
-                   : fx.model->transitionRatio(qs[i]);
-    } catch (const std::exception&) {
-      threw = true;
-    }
-    if (threw) {
+    const model::DualResult scalar = fx.model->lookup(qs[i]);
+    ASSERT_EQ(batch[i].status, scalar.status) << "lane " << i;
+    if (scalar.status != model::DualResult::Status::Ok) {
       ++missing;
-      EXPECT_EQ(batch[i].status, model::DualResult::Status::MissingTable)
-          << "lane " << i;
       continue;
     }
-    ASSERT_EQ(batch[i].status, model::DualResult::Status::Ok) << "lane " << i;
     // Exact `==` on doubles, deliberately: the batched path promises the
     // same bits, not "close".
-    EXPECT_EQ(batch[i].value, scalar) << "lane " << i;
-    EXPECT_EQ(batch[i].clampDistance, fx.model->lastClampDistance())
-        << "lane " << i;
+    EXPECT_EQ(batch[i].value, scalar.value) << "lane " << i;
+    EXPECT_EQ(batch[i].clampDistance, scalar.clampDistance) << "lane " << i;
   }
   // The query mix must actually exercise the missing-table lane.
   EXPECT_GT(missing, 0u);
@@ -594,11 +583,11 @@ TEST(BatchedDualDeterminism, EvaluateManyHandlesEdgeLanes) {
   std::vector<model::DualResult> batch(qs.size());
   fx.model->evaluateMany(qs, batch);
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    const double scalar = fx.model->delayRatio(qs[i]);
+    const model::DualResult scalar = fx.model->lookup(qs[i]);
     EXPECT_EQ(batch[i].status, model::DualResult::Status::Ok) << "lane " << i;
-    EXPECT_EQ(batch[i].value, scalar) << "lane " << i;
-    EXPECT_EQ(batch[i].clampDistance, fx.model->lastClampDistance())
-        << "lane " << i;
+    EXPECT_EQ(batch[i].status, scalar.status) << "lane " << i;
+    EXPECT_EQ(batch[i].value, scalar.value) << "lane " << i;
+    EXPECT_EQ(batch[i].clampDistance, scalar.clampDistance) << "lane " << i;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 
+#include "obs/registry.hpp"
 #include "sta/timing_graph.hpp"
 #include "support/diagnostic.hpp"
 #include "test_util.hpp"
@@ -138,6 +139,23 @@ TEST(StructuralValidation, DanglingInputIsNamed) {
   const auto res = nl.levelize(StructuralPolicy::Degrade);
   ASSERT_EQ(res.levelCount(), 1u);
   EXPECT_EQ(res.degradedInstances, std::vector<std::string>{"u1"});
+}
+
+TEST(StructuralValidation, EachKindCountsUnderItsOwnCounter) {
+  const auto value = [](const char* name) {
+    return obs::counter(name).value();
+  };
+  const auto cycles = value("sta.structural.cycles");
+  const auto dangling = value("sta.structural.dangling_inputs");
+  (void)cyclicNetlist().levelize(StructuralPolicy::Degrade);
+  Netlist nl;
+  nl.addPrimaryInput("a");
+  nl.addInstance("u1", testutil::nand2Model(), {"a", "floating"}, "y1");
+  (void)nl.levelize(StructuralPolicy::Degrade);
+  if (obs::kStatsCompiledIn) {
+    EXPECT_EQ(value("sta.structural.cycles") - cycles, 1u);
+    EXPECT_EQ(value("sta.structural.dangling_inputs") - dangling, 1u);
+  }
 }
 
 TEST(StructuralValidation, KindNamesAreStable) {
