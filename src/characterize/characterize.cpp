@@ -128,9 +128,28 @@ void mergeDiagnostics(support::DiagnosticLog* log,
   }
 }
 
-int resolveThreads(int configured) {
-  return configured == 0 ? par::defaultThreadCount() : configured;
-}
+/// One simulator per parallelFor worker: worker 0 is the caller's @p sim,
+/// so a serial run constructs nothing, and any other worker builds its own
+/// over the same gate on first use.  A transient is a pure function of the
+/// gate and its events (transient() resets the solver's numeric state on
+/// every run), so which worker simulates a point never changes a bit.
+class WorkerSimulators {
+ public:
+  explicit WorkerSimulators(model::GateSimulator& sim) : sim_(sim) {}
+  WorkerSimulators(const WorkerSimulators&) = delete;
+  WorkerSimulators& operator=(const WorkerSimulators&) = delete;
+
+  model::GateSimulator& operator[](int worker) {
+    if (worker == 0) return sim_;
+    auto& own = own_[static_cast<std::size_t>(worker)];
+    if (!own) own = std::make_unique<model::GateSimulator>(sim_.gate());
+    return *own;
+  }
+
+ private:
+  model::GateSimulator& sim_;
+  std::array<std::unique_ptr<model::GateSimulator>, par::kMaxThreads> own_;
+};
 
 /// Periodic sweep progress: points/sec, ETA and checkpoint lag, reported by
 /// whichever worker crosses the interval boundary first.  Purely
@@ -255,11 +274,10 @@ void buildDualTables(model::GateSimulator& sim,
   PROX_OBS_COUNT("characterize.table_points",
                  dt.ratio.size() + tt.ratio.size());
 
-  // Enumerate every sweep point in the legacy serial order (per iu: the
-  // delay grid (iv, iw)-major, then the transition grid).  The enumeration
-  // index is the point's task index: a threads == 1 run replays the exact
-  // pre-parallel transient sequence, and a parallel run writes each result
-  // into the slot its index owns, so placement never depends on scheduling.
+  // Enumerate every sweep point (per iu: the delay grid (iv, iw)-major, then
+  // the transition grid).  The enumeration index is the point's task index:
+  // each result lands in the slot its index owns, so placement never depends
+  // on scheduling.
   struct SweepPoint {
     model::DualQuery q;
     bool transition = false;
@@ -316,7 +334,7 @@ void buildDualTables(model::GateSimulator& sim,
       std::to_string(otherPin) + ':' +
       (edge == wave::Edge::Rising ? 'r' : 'f');
   std::vector<std::optional<support::Diagnostic>> pointDiags(points.size());
-  const auto evalPoint = [&](model::DualInputModel& oracle, std::size_t i) {
+  const auto evalPoint = [&](model::GateSimulator& s, std::size_t i) {
     const SweepPoint& p = points[i];
     double value = std::numeric_limits<double>::quiet_NaN();
     if (config.checkpoint != nullptr) {
@@ -330,6 +348,11 @@ void buildDualTables(model::GateSimulator& sim,
         return;
       }
     }
+    // Every oracle memoizes through the caller's simulator, whichever
+    // worker's simulator runs its transients: a point an earlier sweep over
+    // @p sim answered (AOI21's pair sweeps repeat its per-reference ones) is
+    // a memo hit at any thread count.
+    const model::OracleDualInputModel oracle(s, singles, &sim.dualMemo());
     for (int a = 0; a < attempts; ++a) {
       try {
         if (a > 0) PROX_OBS_COUNT("characterize.point_retries", 1);
@@ -350,43 +373,16 @@ void buildDualTables(model::GateSimulator& sim,
     }
   };
 
-  // Per-sweep-point tracing + heartbeat, layered over evalPoint so both the
-  // serial and parallel paths report identically.
+  WorkerSimulators sims(sim);
   ProgressHeartbeat heartbeat(ckptScope, points.size(), config);
-  const auto evalPointTraced = [&](model::DualInputModel& oracle,
-                                   std::size_t i) {
-    PROX_OBS_SPAN_ARG("char.point", "index", i);
-    evalPoint(oracle, i);
-    heartbeat.tick();
-  };
-
-  const int threads = resolveThreads(config.threads);
-  if (threads <= 1) {
-    // Legacy serial path: one shared simulator and memoizing oracle.  The
-    // memo lives on the simulator, so repeated sweeps over the same sim
-    // (delay then transition tables, or pair sweeps after per-ref ones)
-    // reuse earlier oracle answers instead of re-running the transient.
-    // The TaskScope wrapping inside parallelFor keeps task-keyed fault
-    // plans firing at the same point as any parallel run.
-    model::OracleDualInputModel oracle(sim, singles, &sim.dualMemo());
-    par::parallelFor(
-        points.size(), [&](std::size_t i) { evalPointTraced(oracle, i); },
-        {.threads = 1, .failFast = true, .cancel = config.cancel});
-  } else {
-    // Parallel path: every point gets a fresh simulator + oracle over the
-    // same gate.  The simulator's result is a pure function of the gate and
-    // the event set, so per-point instances reproduce the serial values bit
-    // for bit (asserted by determinism_test).
-    const model::Gate& gate = sim.gate();
-    par::parallelFor(
-        points.size(),
-        [&](std::size_t i) {
-          model::GateSimulator localSim(gate);
-          model::OracleDualInputModel oracle(localSim, singles);
-          evalPointTraced(oracle, i);
-        },
-        {.threads = threads, .failFast = true, .cancel = config.cancel});
-  }
+  par::parallelFor(
+      points.size(),
+      [&](std::size_t i, int worker) {
+        PROX_OBS_SPAN_ARG("char.point", "index", i);
+        evalPoint(sims[worker], i);
+        heartbeat.tick();
+      },
+      {.threads = config.threads, .failFast = true, .cancel = config.cancel});
   mergeDiagnostics(log, pointDiags);
 
   const std::size_t healedPoints = healTable(dt) + healTable(tt);
@@ -411,7 +407,7 @@ model::StepCorrection characterizeStepCorrection(
   const model::ProximityCalculator raw(model::senseResolverFor(sim.gate()),
                                        singles, dual, {}, noCorrection);
 
-  // Tasks in the legacy order (Rising k = 2..n, then Falling), including the
+  // Tasks in order Rising k = 2..n, then Falling, including the
   // non-sensitizable prefixes: their indices stay stable so task-keyed fault
   // plans address the same (edge, k) term at any thread count.
   struct CorrTask {
@@ -479,22 +475,12 @@ model::StepCorrection characterizeStepCorrection(
     }
   };
 
-  const int resolved = resolveThreads(threads);
-  if (resolved <= 1) {
-    par::parallelFor(
-        tasks.size(), [&](std::size_t i) { evalTask(sim, i); },
-        {.threads = 1, .failFast = true, .cancel = cancel});
-  } else {
-    // Per-task simulators; @p dual must be thread-safe (see header note).
-    const model::Gate& gate = sim.gate();
-    par::parallelFor(
-        tasks.size(),
-        [&](std::size_t i) {
-          model::GateSimulator localSim(gate);
-          evalTask(localSim, i);
-        },
-        {.threads = resolved, .failFast = true, .cancel = cancel});
-  }
+  // One simulator per worker; @p dual must be thread-safe (see header note).
+  WorkerSimulators sims(sim);
+  par::parallelFor(
+      tasks.size(),
+      [&](std::size_t i, int worker) { evalTask(sims[worker], i); },
+      {.threads = threads, .failFast = true, .cancel = cancel});
   mergeDiagnostics(log, taskDiags);
 
   for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -522,12 +508,10 @@ CharacterizedGate characterizeFromGate(model::Gate gate,
   CharacterizedGate out;
   out.gate = std::move(gate);
 
-  const int threads = resolveThreads(config.threads);
   model::GateSimulator sim(out.gate);
 
-  // Single-input sweeps: one task per (pin, edge), in the legacy pin-major
-  // Rising-then-Falling order so a serial run replays the exact pre-parallel
-  // transient sequence.
+  // Single-input sweeps: one task per (pin, edge), pin-major, Rising then
+  // Falling.
   {
     const auto pins = static_cast<std::size_t>(out.pinCount());
     std::vector<model::SingleInputModel> singleModels(2 * pins);
@@ -572,19 +556,11 @@ CharacterizedGate characterizeFromGate(model::Gate gate,
         config.checkpoint->record("single", i, words);
       }
     };
-    if (threads <= 1) {
-      par::parallelFor(
-          singleModels.size(), [&](std::size_t i) { singleTask(sim, i); },
-          {.threads = 1, .failFast = true, .cancel = config.cancel});
-    } else {
-      par::parallelFor(
-          singleModels.size(),
-          [&](std::size_t i) {
-            model::GateSimulator localSim(out.gate);
-            singleTask(localSim, i);
-          },
-          {.threads = threads, .failFast = true, .cancel = config.cancel});
-    }
+    WorkerSimulators sims(sim);
+    par::parallelFor(
+        singleModels.size(),
+        [&](std::size_t i, int worker) { singleTask(sims[worker], i); },
+        {.threads = config.threads, .failFast = true, .cancel = config.cancel});
     auto set = std::make_unique<model::SingleInputModelSet>();
     for (model::SingleInputModel& m : singleModels) set->set(std::move(m));
     out.singles = std::move(set);
@@ -653,7 +629,7 @@ CharacterizedGate characterizeFromGate(model::Gate gate,
 
   out.correction = characterizeStepCorrection(
       sim, *out.singles, *out.dual, config.stepTau, config.healPointFailures,
-      &out.diagnostics, threads, config.cancel, config.checkpoint);
+      &out.diagnostics, config.threads, config.cancel, config.checkpoint);
   if (config.checkpoint != nullptr) config.checkpoint->flush();
   return out;
 }

@@ -75,13 +75,11 @@ double DualTable::interpolate(double uu, double vv, double ww,
 }
 
 OracleDualInputModel::OracleDualInputModel(GateSimulator& sim,
-                                           const SingleInputModelSet& singles)
-    : OracleDualInputModel(sim, singles, nullptr) {}
-
-OracleDualInputModel::OracleDualInputModel(GateSimulator& sim,
                                            const SingleInputModelSet& singles,
                                            DualMemo* memo)
-    : sim_(sim), singles_(singles), memo_(memo != nullptr ? memo : &ownMemo_) {}
+    : sim_(sim),
+      singles_(singles),
+      memo_(memo != nullptr ? *memo : sim.dualMemo()) {}
 
 DualMemo::Pair OracleDualInputModel::evaluate(const DualQuery& q) const {
   // Memoize on attosecond-quantized times: queries repeated across sweeps
@@ -90,7 +88,7 @@ DualMemo::Pair OracleDualInputModel::evaluate(const DualQuery& q) const {
       DualMemo::makeKey(q.refPin, q.otherPin, q.edge == wave::Edge::Rising,
                         q.tauRef, q.tauOther, q.sep);
   DualMemo::Pair p;
-  if (memo_->find(key, &p)) {
+  if (memo_.find(key, &p)) {
     PROX_OBS_COUNT("model.dual.oracle_cache_hits", 1);
     return p;
   }
@@ -110,7 +108,7 @@ DualMemo::Pair OracleDualInputModel::evaluate(const DualQuery& q) const {
   if (o.transitionTime && t1 > 0.0) p.transitionRatio = *o.transitionTime / t1;
   // Inserted only after a successful simulate(): a failed evaluation is
   // never cached (exactly the old map memo's behavior).
-  memo_->insert(key, p);
+  memo_.insert(key, p);
   return p;
 }
 

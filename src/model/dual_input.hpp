@@ -86,13 +86,12 @@ class DualInputModel {
 /// Simulation-backed macromodel with memoization.
 class OracleDualInputModel : public DualInputModel {
  public:
-  /// @p sim and @p singles must outlive the model.  Uses a private memo.
-  OracleDualInputModel(GateSimulator& sim, const SingleInputModelSet& singles);
-
-  /// Same, but memoizes through @p memo (must outlive the model), so
-  /// repeated sweeps over the same simulator share one cache.
+  /// @p sim, @p singles and @p memo must outlive the model.  A null @p memo
+  /// means @p sim's own dualMemo(), so every oracle over one simulator
+  /// shares one cache; a parallel sweep passes the caller's memo to the
+  /// oracles over its per-worker simulators.
   OracleDualInputModel(GateSimulator& sim, const SingleInputModelSet& singles,
-                       DualMemo* memo);
+                       DualMemo* memo = nullptr);
 
   double ratio(const DualQuery& q) const override;
 
@@ -102,10 +101,9 @@ class OracleDualInputModel : public DualInputModel {
   GateSimulator& sim_;
   const SingleInputModelSet& singles_;
   // The memo is internally synchronized; the referenced simulator is NOT
-  // thread-safe, so concurrent callers must still use one oracle (and one
-  // simulator) per thread -- as the parallel characterization sweep does.
-  mutable DualMemo ownMemo_;
-  DualMemo* memo_;
+  // thread-safe, so concurrent callers need one simulator per thread -- as
+  // the parallel characterization sweep keeps one per worker.
+  DualMemo& memo_;
 };
 
 /// One characterized 3-D ratio table over normalized coordinates.

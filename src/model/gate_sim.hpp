@@ -72,9 +72,10 @@ class GateSimulator {
   long simulationCount() const { return simCount_; }
 
   /// Memo shared by every OracleDualInputModel constructed over this
-  /// simulator (serial characterization passes it explicitly), so repeated
-  /// (pins, slew, separation) oracle queries across sweep steps -- and across
-  /// whole sweeps over the same simulator -- skip the transient re-run.
+  /// simulator (and by a parallel sweep's per-worker oracles, which pass it
+  /// explicitly), so repeated (pins, slew, separation) oracle queries across
+  /// sweep steps -- and across whole sweeps over the same simulator -- skip
+  /// the transient re-run.
   DualMemo& dualMemo() { return dualMemo_; }
 
  private:

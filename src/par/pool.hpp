@@ -12,12 +12,13 @@
 //     an uneven task mix (one slow transient among hundreds of fast ones)
 //     rebalances without a central queue bottleneck.
 //   * Nested parallelism must not deadlock -> a worker thread that reaches
-//     another parallel region runs it inline (see parallelFor's guard);
-//     ThreadPool::onWorkerThread() exposes the check.
+//     another parallel region runs that region's loop alone, with no
+//     helpers (see parallelFor's guard); ThreadPool::onWorkerThread()
+//     exposes the check.
 //
 // The process-global pool is created lazily on first parallel use and grown
-// on demand up to kMaxThreads; serial call paths (threads == 1, the library
-// default) never touch it.
+// on demand up to kMaxThreads; a loop with threads <= 1 (the library
+// default) runs on its caller alone and never touches it.
 
 #include <condition_variable>
 #include <cstdint>
@@ -61,8 +62,9 @@ class ThreadPool {
   void submit(std::function<void()> task);
 
   /// True when the calling thread is a worker of *any* ThreadPool -- the
-  /// nested-parallelism guard used by parallelFor to run inline instead of
-  /// submitting (a worker blocking on its own pool's queue would deadlock).
+  /// nested-parallelism guard used by parallelFor to run the caller's loop
+  /// alone instead of submitting (a worker blocking on its own pool's queue
+  /// would deadlock).
   static bool onWorkerThread() noexcept;
 
   /// The lazily-created process-global pool, grown to at least @p threads.

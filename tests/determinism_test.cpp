@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "cells/pull_network.hpp"
 #include "characterize/characterize.hpp"
 #include "model/dual_input.hpp"
 #include "model/single_input.hpp"
@@ -90,6 +91,16 @@ void expectCellsIdentical(const characterize::CharacterizedGate& a,
                            "transition table");
     }
   }
+  // Complex gates also carry the pair matrix (Figure 4-2 option 2(a)).
+  ASSERT_EQ(a.dual->pairKeys(), b.dual->pairKeys());
+  for (const auto& [ref, other, e] : a.dual->pairKeys()) {
+    expectTableIdentical(a.dual->pairDelayTable(ref, other, e),
+                         b.dual->pairDelayTable(ref, other, e),
+                         "pair delay table");
+    expectTableIdentical(a.dual->pairTransitionTable(ref, other, e),
+                         b.dual->pairTransitionTable(ref, other, e),
+                         "pair transition table");
+  }
   EXPECT_EQ(a.correction.delayErrorRising, b.correction.delayErrorRising);
   EXPECT_EQ(a.correction.delayErrorFalling, b.correction.delayErrorFalling);
   EXPECT_EQ(a.correction.transitionErrorRising,
@@ -133,6 +144,38 @@ TEST(CharacterizationDeterminism, RepeatedParallelRunsMatch) {
   const auto rerun = characterize::characterizeGate(testutil::nandSpec(2),
                                                     smallConfig(8));
   expectCellsIdentical(cleanCell(8), rerun);
+}
+
+// AOI21's (pin, partner) pair sweeps repeat a per-reference sweep point for
+// point, so they are memo hits -- at every thread count, not only at one.
+// Same bits is not enough: which points simulate (the transient count, and
+// so where a task-keyed fault lands) must not depend on the thread count.
+struct ComplexRun {
+  characterize::CharacterizedGate cell;
+  std::uint64_t transients = 0;
+};
+
+ComplexRun characterizeAoi21(int threads) {
+  const auto before = obs::snapshot();
+  ComplexRun run{characterize::characterizeComplexGate(cells::aoi21(),
+                                                       smallConfig(threads))};
+  run.transients = obs::snapshot().counterValue("model.gate_sim.transients") -
+                   before.counterValue("model.gate_sim.transients");
+  return run;
+}
+
+TEST(CharacterizationDeterminism, ComplexGateSameBitsAndWorkAtAnyThreadCount) {
+  const ComplexRun serial = characterizeAoi21(1);
+  ASSERT_FALSE(serial.cell.dual->pairKeys().empty());
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const ComplexRun run = characterizeAoi21(threads);
+    expectCellsIdentical(serial.cell, run.cell);
+    if (obs::kStatsCompiledIn) {
+      EXPECT_GT(serial.transients, 0u);
+      EXPECT_EQ(run.transients, serial.transients);
+    }
+  }
 }
 
 TEST(CharacterizationDeterminism, CleanRunsLogNothingAtAnyThreadCount) {
@@ -231,6 +274,36 @@ TEST(FaultedCharacterizationDeterminism, SameHoleHealsAtEveryThreadCount) {
 
 TEST(FaultedCharacterizationDeterminism, RepeatedFaultedRunsMatch) {
   expectCellsIdentical(faultedCell(8), faultedCell(8));
+}
+
+// Task 7 of each of AOI21's six per-reference sweeps takes hits 1-6; hits 7
+// and 8 (the point and its retry) land in the first pair sweep that really
+// simulates its task 7.  The pair sweeps that repeat a per-reference sweep
+// are memo hits there, so this holds only if they are at every thread count.
+characterize::CharacterizedGate faultedAoi21(int threads) {
+  support::FaultSpec spec;
+  spec.site = "model.gate_sim.simulate";
+  spec.kind = support::FaultKind::SimulationFailure;
+  spec.triggerHit = 7;
+  spec.count = 2;
+  spec.taskIndex = 7;
+  support::FaultPlan::Scope scope(spec);
+  return characterize::characterizeComplexGate(cells::aoi21(),
+                                               smallConfig(threads));
+}
+
+TEST(FaultedCharacterizationDeterminism, ComplexGateHoleHealsInOnePairTable) {
+  const auto serial = faultedAoi21(1);
+  std::size_t pairHealed = 0;
+  for (const auto& [ref, other, e] : serial.dual->pairKeys()) {
+    pairHealed += serial.dual->pairDelayTable(ref, other, e).healedCount();
+    pairHealed += serial.dual->pairTransitionTable(ref, other, e).healedCount();
+  }
+  EXPECT_EQ(pairHealed, 1u);
+  EXPECT_FALSE(serial.diagnostics.empty());
+
+  expectCellsIdentical(serial, faultedAoi21(2));
+  expectCellsIdentical(serial, faultedAoi21(8));
 }
 #endif  // PROX_ENABLE_FAULT_INJECTION
 
