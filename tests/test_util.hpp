@@ -13,9 +13,9 @@
 namespace prox::testutil {
 
 /// PROX_THREADS as an int when set to a positive value, else @p fallback.
-/// Test configs thread this through so the ThreadSanitizer CI job can force
-/// the parallel sweep path (PROX_THREADS=8) while the default tier-1 run
-/// keeps the serial legacy path.
+/// Test configs thread this through so the ThreadSanitizer CI job can run
+/// the sweeps on 8 workers (PROX_THREADS=8) while the default tier-1 run
+/// keeps them on the calling thread.
 inline int envThreads(int fallback = 1) {
   const char* env = std::getenv("PROX_THREADS");
   if (env == nullptr || *env == '\0') return fallback;
