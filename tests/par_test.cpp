@@ -258,6 +258,27 @@ TEST(ParallelForCollect, FailFastParallelStillReportsLowestFailure) {
   EXPECT_GE(failures[0].index, 10u);
 }
 
+TEST(ParallelFor, FailFastParallelRaisesTheFailureASerialLoopWould) {
+  // One worker takes [0, 2) and the other [2, 4).  While task 0 sleeps,
+  // task 2 fails; task 1 was already taken, so it still runs, and its
+  // failure is the one raised, as in a serial loop.
+  try {
+    par::parallelFor(
+        4,
+        [](std::size_t i) {
+          if (i == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+            return;
+          }
+          throw std::runtime_error("task " + std::to_string(i));
+        },
+        {.threads = 2, .chunk = 2, .failFast = true});
+    FAIL() << "expected a task failure";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 1");
+  }
+}
+
 // -- cooperative cancellation ------------------------------------------------
 
 TEST(ParallelFor, CancelMidLoopThrowsTypedErrorAndPoolSurvives) {
