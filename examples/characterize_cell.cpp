@@ -25,6 +25,7 @@
 
 #include "characterize/checkpoint.hpp"
 #include "characterize/serialize.hpp"
+#include "cli_flags.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "par/pool.hpp"
@@ -34,6 +35,7 @@
 #include "support/fault_injection.hpp"
 
 using namespace prox;
+using cli::flagValue;
 using model::InputEvent;
 using wave::Edge;
 
@@ -49,22 +51,6 @@ int usage(const char* argv0) {
                "[--max-nodes N]\n",
                argv0);
   return 2;
-}
-
-/// "--flag value" / "--flag=value" extraction; advances @p i for the
-/// two-token form.  Returns nullptr when argv[*i] is not @p flag or has no
-/// value.
-const char* flagValue(const char* flag, char** argv, int argc, int* i) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(argv[*i], flag, n) != 0) return nullptr;
-  if (argv[*i][n] == '=') return argv[*i] + n + 1;
-  // The two-token form never takes the next flag as its value: a flag
-  // missing its value is a usage error.
-  if (argv[*i][n] == '\0' && *i + 1 < argc &&
-      std::strncmp(argv[*i + 1], "--", 2) != 0) {
-    return argv[++*i];
-  }
-  return nullptr;
 }
 
 }  // namespace

@@ -41,6 +41,7 @@
 #include "cells/corner.hpp"
 #include "characterize/checkpoint.hpp"
 #include "characterize/serialize.hpp"
+#include "cli_flags.hpp"
 #include "fleet/bundle.hpp"
 #include "fleet/orchestrator.hpp"
 #include "obs/report.hpp"
@@ -51,6 +52,7 @@
 #include "support/journal.hpp"
 
 using namespace prox;
+using cli::flagValue;
 
 namespace {
 
@@ -66,19 +68,6 @@ int usage(const char* argv0) {
       "  SPEC: (crash|hang|corrupt)@SHARD[*COUNT]\n",
       argv0);
   return 2;
-}
-
-const char* flagValue(const char* flag, char** argv, int argc, int* i) {
-  const std::size_t n = std::strlen(flag);
-  if (std::strncmp(argv[*i], flag, n) != 0) return nullptr;
-  if (argv[*i][n] == '=') return argv[*i] + n + 1;
-  // The two-token form never takes the next flag as its value: a flag
-  // missing its value is a usage error.
-  if (argv[*i][n] == '\0' && *i + 1 < argc &&
-      std::strncmp(argv[*i + 1], "--", 2) != 0) {
-    return argv[++*i];
-  }
-  return nullptr;
 }
 
 std::string hex64(std::uint64_t v) {

@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "characterize/characterize.hpp"
+#include "cli_flags.hpp"
 #include "fleet/bundle.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -41,6 +42,7 @@
 #include "waveform/measure.hpp"
 
 using namespace prox;
+using cli::flagValue;
 
 namespace {
 
@@ -212,6 +214,7 @@ int main(int argc, char** argv) {
   double timeoutSecs = 0.0;
   support::ResourceBudget budget;
   for (int i = 1; i < argc; ++i) {
+    const char* v = nullptr;
     if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
     } else if (std::strncmp(argv[i], "--stats=", 8) == 0) {
@@ -252,10 +255,8 @@ int main(int argc, char** argv) {
                      argv[0]);
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
+    } else if ((v = flagValue("--threads", argv, argc, &i)) != nullptr) {
+      threads = std::atoi(v);
     } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
       timeoutSecs = std::atof(argv[i] + 10);
       if (timeoutSecs <= 0.0) {

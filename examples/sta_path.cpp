@@ -27,6 +27,7 @@
 #include <string>
 
 #include "characterize/characterize.hpp"
+#include "cli_flags.hpp"
 #include "fleet/bundle.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -38,6 +39,7 @@
 #include "support/durable_io.hpp"
 
 using namespace prox;
+using cli::flagValue;
 using sta::Arrival;
 using sta::DelayMode;
 using wave::Edge;
@@ -277,6 +279,7 @@ int main(int argc, char** argv) {
   fleet::MissingCornerPolicy cornerPolicy = fleet::MissingCornerPolicy::Reject;
   support::ResourceBudget budget;
   for (int i = 1; i < argc; ++i) {
+    const char* v = nullptr;
     if (std::strcmp(argv[i], "--stats") == 0) {
       stats = true;
     } else if (std::strncmp(argv[i], "--stats=", 8) == 0) {
@@ -292,10 +295,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "%s: --trace= requires a file name\n", argv[0]);
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = std::atoi(argv[i] + 10);
+    } else if ((v = flagValue("--threads", argv, argc, &i)) != nullptr) {
+      threads = std::atoi(v);
     } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
       timeoutSecs = std::atof(argv[i] + 10);
       if (timeoutSecs <= 0.0) {
@@ -326,15 +327,13 @@ int main(int argc, char** argv) {
                      argv[0]);
         return 2;
       }
-    } else if (std::strncmp(argv[i], "--blif=", 7) == 0) {
-      blifPath = argv[i] + 7;
+    } else if ((v = flagValue("--blif", argv, argc, &i)) != nullptr) {
+      blifPath = v;
       if (blifPath.empty()) {
         std::fprintf(stderr, "%s: --blif= requires a file name or -\n",
                      argv[0]);
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--blif") == 0 && i + 1 < argc) {
-      blifPath = argv[++i];
     } else if (std::strncmp(argv[i], "--bundle=", 9) == 0) {
       bundlePath = argv[i] + 9;
       if (bundlePath.empty()) {

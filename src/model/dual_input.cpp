@@ -6,72 +6,15 @@
 #include <stdexcept>
 
 #include "obs/registry.hpp"
-#include "obs/scoped_timer.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/trilerp.hpp"
 
 namespace prox::model {
 
-namespace {
-
-/// Index of the grid cell containing @p x, clamped to the valid range, plus
-/// the interpolation fraction.
-std::pair<std::size_t, double> locate(const std::vector<double>& grid, double x) {
-  if (grid.size() == 1) return {0, 0.0};
-  if (x <= grid.front()) return {0, 0.0};
-  if (x >= grid.back()) return {grid.size() - 2, 1.0};
-  std::size_t hi = 1;
-  while (hi + 1 < grid.size() && grid[hi] < x) ++hi;
-  const double f = (x - grid[hi - 1]) / (grid[hi] - grid[hi - 1]);
-  return {hi - 1, f};
-}
-
-/// Relative overshoot of @p x beyond the grid span (0 for in-grid queries).
-/// Degenerate single-point grids normalize by the point's magnitude instead.
-double overshoot(const std::vector<double>& grid, double x) {
-  const double lo = grid.front();
-  const double hi = grid.back();
-  if (x >= lo && x <= hi) return 0.0;
-  const double span = hi - lo;
-  const double denom = span > 0.0 ? span : std::max(std::fabs(lo), 1.0);
-  return (x < lo ? lo - x : x - hi) / denom;
-}
-
-}  // namespace
-
 std::size_t DualTable::healedCount() const {
   std::size_t n = 0;
   for (const std::uint8_t h : healed) n += h != 0 ? 1 : 0;
   return n;
-}
-
-double DualTable::interpolate(double uu, double vv, double ww,
-                              double* clampDistance) const {
-  if (u.empty() || v.empty() || w.empty()) {
-    throw support::DiagnosticError(
-        support::makeDiagnostic(support::StatusCode::TableMissing,
-                                "DualTable: empty grid")
-            .withSite("model.dual"));
-  }
-  if (clampDistance != nullptr) {
-    *clampDistance =
-        std::max({overshoot(u, uu), overshoot(v, vv), overshoot(w, ww)});
-  }
-  const auto [iu, fu] = locate(u, uu);
-  const auto [iv, fv] = locate(v, vv);
-  const auto [iw, fw] = locate(w, ww);
-  const std::size_t iu1 = std::min(iu + 1, u.size() - 1);
-  const std::size_t iv1 = std::min(iv + 1, v.size() - 1);
-  const std::size_t iw1 = std::min(iw + 1, w.size() - 1);
-
-  auto lerp = [](double a, double b, double f) { return a + f * (b - a); };
-  const double c00 = lerp(at(iu, iv, iw), at(iu1, iv, iw), fu);
-  const double c01 = lerp(at(iu, iv, iw1), at(iu1, iv, iw1), fu);
-  const double c10 = lerp(at(iu, iv1, iw), at(iu1, iv1, iw), fu);
-  const double c11 = lerp(at(iu, iv1, iw1), at(iu1, iv1, iw1), fu);
-  const double c0 = lerp(c00, c10, fv);
-  const double c1 = lerp(c01, c11, fv);
-  return lerp(c0, c1, fw);
 }
 
 OracleDualInputModel::OracleDualInputModel(GateSimulator& sim,
@@ -112,9 +55,18 @@ DualMemo::Pair OracleDualInputModel::evaluate(const DualQuery& q) const {
   return p;
 }
 
-double OracleDualInputModel::ratio(const DualQuery& q) const {
-  const DualMemo::Pair p = evaluate(q);
-  return q.kind == DualKind::Delay ? p.delayRatio : p.transitionRatio;
+void OracleDualInputModel::evaluateMany(std::span<const DualQuery> queries,
+                                        std::span<DualResult> results) const {
+  if (results.size() < queries.size()) {
+    throw std::invalid_argument(
+        "OracleDualInputModel::evaluateMany: results span too small");
+  }
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const DualMemo::Pair p = evaluate(queries[i]);
+    results[i] = DualResult{};
+    results[i].value = queries[i].kind == DualKind::Delay ? p.delayRatio
+                                                          : p.transitionRatio;
+  }
 }
 
 support::DiagnosticError missingTableError(const DualQuery& q) {
@@ -126,6 +78,18 @@ support::DiagnosticError missingTableError(const DualQuery& q) {
               : "no dual transition table for reference pin")
           .withSite("model.dual")
           .withPin(q.refPin));
+}
+
+DualResult DualInputModel::lookup(const DualQuery& q) const {
+  DualResult r;
+  evaluateMany({&q, 1}, {&r, 1});
+  return r;
+}
+
+double DualInputModel::ratio(const DualQuery& q) const {
+  const DualResult r = lookup(q);
+  if (r.status != DualResult::Status::Ok) throw missingTableError(q);
+  return r.value;
 }
 
 TabulatedDualInputModel::TabulatedDualInputModel(
@@ -200,60 +164,8 @@ const DualTable& TabulatedDualInputModel::transitionTable(int refPin,
   return transitionTables_.at(key(refPin, edge));
 }
 
-DualResult TabulatedDualInputModel::lookup(const DualQuery& q) const {
-  PROX_OBS_BATCH(obsCells);
-  PROX_OBS_COUNT_IN(obsCells, "model.dual.table_lookups", 1);
-  // Sampled 1-in-64: a lookup is ~100ns, so full timing would dominate it.
-  PROX_OBS_SCOPED_HIST_NS_SAMPLED("model.dual.lookup_ns", 6);
-  DualResult r;
-  if (!singles_.has(q.refPin, q.edge)) {
-    r.status = DualResult::Status::MissingTable;
-    return r;
-  }
-  const SingleInputModel& m = singles_.at(q.refPin, q.edge);
-  const bool delay = q.kind == DualKind::Delay;
-  const double d1 = m.delay(q.tauRef);
-  const double norm = delay ? d1 : m.transition(q.tauRef);
-  // Outside its proximity window the other input cannot affect the delay
-  // (sep >= Delta^(1)) or the transition time (sep >= Delta^(1) + tau^(1)).
-  if (q.sep >= (delay ? d1 : d1 + norm)) {
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.window_shortcuts", 1);
-    return r;
-  }
-  // The pair table when one exists, else the per-reference one.
-  const auto find = [](const std::map<int, DualTable>& tables, int k) {
-    const auto it = tables.find(k);
-    return it == tables.end() ? nullptr : &it->second;
-  };
-  const DualTable* t =
-      find(delay ? pairDelayTables_ : pairTransitionTables_,
-           pairKey(q.refPin, q.otherPin, q.edge));
-  if (t == nullptr) {
-    t = find(delay ? delayTables_ : transitionTables_, key(q.refPin, q.edge));
-    if (t == nullptr) {
-      PROX_OBS_COUNT_IN(obsCells, "model.dual.missing_tables", 1);
-    }
-  }
-  if (t == nullptr || t->u.empty() || t->v.empty() || t->w.empty()) {
-    r.status = DualResult::Status::MissingTable;
-    return r;
-  }
-  r.value = t->interpolate(q.tauRef / norm, q.tauOther / norm, q.sep / norm,
-                           &r.clampDistance);
-  if (r.clampDistance > 0.0) {
-    PROX_OBS_COUNT_IN(obsCells, "model.dual.clamped_lookups", 1);
-  }
-  return r;
-}
-
-double TabulatedDualInputModel::ratio(const DualQuery& q) const {
-  const DualResult r = lookup(q);
-  if (r.status != DualResult::Status::Ok) throw missingTableError(q);
-  return r.value;
-}
-
 void TabulatedDualInputModel::appendView(const DualTable& t) {
-  // overshoot()'s denominator, hoisted per axis: the span, or max(|lo|, 1)
+  // The overshoot normalizer, hoisted per axis: the span, or max(|lo|, 1)
   // for single-point grids.
   const auto axisDenom = [](const std::vector<double>& g) {
     if (g.empty()) return 1.0;
@@ -294,7 +206,7 @@ void TabulatedDualInputModel::rebuildIndex() {
     for (const auto& [k, t] : tables) maxKey = std::max(maxKey, k);
     slots.assign(maxKey >= 0 ? static_cast<std::size_t>(maxKey) + 1 : 0, -1);
     for (const auto& [k, t] : tables) {
-      if (k < 0) continue;  // batched path answers MissingTable; scalar still works
+      if (k < 0) continue;  // no slot: queries on it answer MissingTable
       slots[static_cast<std::size_t>(k)] =
           static_cast<std::int32_t>(views_.size());
       appendView(t);
@@ -347,8 +259,7 @@ struct BatchScratch {
   }
 };
 
-/// Map-key -> view-index probe; an out-of-range key means "no table", exactly
-/// what the map find would conclude.
+/// Map-key -> view-index probe; an out-of-range key means "no table".
 std::int32_t slotAt(const std::vector<std::int32_t>& slots, int k) {
   return k >= 0 && static_cast<std::size_t>(k) < slots.size()
              ? slots[static_cast<std::size_t>(k)]
@@ -379,7 +290,6 @@ void TabulatedDualInputModel::evaluateMany(std::span<const DualQuery> queries,
   PROX_OBS_BATCH(obsCells);
   PROX_OBS_COUNT_IN(obsCells, "model.dual.batch_calls", 1);
   PROX_OBS_COUNT_IN(obsCells, "model.dual.batch_queries", n);
-  // lookup() parity: every entry counts as a lookup.
   PROX_OBS_COUNT_IN(obsCells, "model.dual.table_lookups", n);
   recordDispatchPath();
 
@@ -431,8 +341,8 @@ void TabulatedDualInputModel::evaluateMany(std::span<const DualQuery> queries,
     }
     s.alive[i] = m != nullptr ? 1 : 0;
     if (m == nullptr) {
-      // lookup() parity: marked without counting missing_tables.  Benign
-      // operands keep the dead lane's vector arithmetic out of NaN territory.
+      // Marked without counting missing_tables.  Benign operands keep the
+      // dead lane's vector arithmetic out of NaN territory.
       rs[i].status = DualResult::Status::MissingTable;
       s.sNum[i] = 0.0;
       s.sDen[i] = 1.0;
@@ -512,13 +422,13 @@ void TabulatedDualInputModel::evaluateMany(std::span<const DualQuery> queries,
       norm = t1;
     }
     if (vi < 0) {
-      ++missing;  // lookup() parity
+      ++missing;
       rs[i].status = DualResult::Status::MissingTable;
       continue;
     }
     const TableView& tv = views_[static_cast<std::size_t>(vi)];
     if (tv.nu == 0 || tv.nv == 0 || tv.nw == 0) {
-      // lookup() parity: an empty grid is missing, but not counted as such.
+      // An empty grid is missing, but not counted as such.
       rs[i].status = DualResult::Status::MissingTable;
       continue;
     }
@@ -587,8 +497,8 @@ void TabulatedDualInputModel::evaluateMany(std::span<const DualQuery> queries,
           ab.count = cnt;
           simd::axisLocate(ab);
         } else {
-          // Single-point grid: locate() is always {0, 0.0}; the overshoot is
-          // the distance from the lone point (select form of overshoot()).
+          // Single-point grid: cell 0 with fraction 0; the overshoot is the
+          // distance from the lone point, in select form.
           const double g0 = arena[off];
           for (std::uint32_t p = glo; p < glo + cnt; ++p) {
             const double x = xs[p];

@@ -4,8 +4,9 @@
 //   Delta^(2)/Delta^(1) = D^(2)( tau_i/Delta^(1), tau_j/Delta^(1), s_ij/Delta^(1) )   (3.11)
 //   tau^(2)/tau^(1)     = T^(2)( tau_i/tau^(1),   tau_j/tau^(1),   s_ij/tau^(1) )     (3.12)
 //
-// where i is the *dominant* (reference) input.  Two interchangeable
-// implementations:
+// where i is the *dominant* (reference) input.  Every query goes through one
+// virtual, DualInputModel::evaluateMany(); a scalar lookup is a batch of
+// one.  Two interchangeable implementations answer it:
 //   * OracleDualInputModel -- answers every query by running the
 //     transistor-level simulator on the reduced two-input configuration.
 //     This is exactly the paper's Section 5 methodology ("we used HSPICE as
@@ -46,17 +47,18 @@ struct DualQuery {
   DualKind kind = DualKind::Delay;
 };
 
-/// One answer from lookup()/evaluateMany().  Where ratio() throws (no table
-/// covers the query), the answer is marked instead, so one bad query cannot
-/// poison its whole batch.
+/// One answer from evaluateMany().  Where ratio() throws (no table covers
+/// the query), the answer is marked instead, so one bad query cannot poison
+/// its whole batch.
 struct DualResult {
   enum class Status : std::uint8_t {
     Ok,
     MissingTable,  ///< no single-input model or no dual table for the query
   };
   double value = 1.0;
-  /// Relative overshoot outside the table grid (0 for in-grid queries), as
-  /// DualTable::interpolate() reports it.
+  /// How far outside the table grid the query fell: the largest per-axis
+  /// overshoot relative to that axis's span (0 for in-grid queries).  STA
+  /// uses it to decide when a clamped answer is too extrapolated to trust.
   double clampDistance = 0.0;
   Status status = Status::Ok;
 };
@@ -69,9 +71,16 @@ class DualInputModel {
  public:
   virtual ~DualInputModel() = default;
 
-  /// The ratio @p q's kind asks for: Delta^(2)/Delta^(1) (>= 0; -> 1 as sep
-  /// leaves the window) or tau^(2)/tau^(1).
-  virtual double ratio(const DualQuery& q) const = 0;
+  /// Answers queries[i] into results[i] (@p results at least as long as
+  /// @p queries): the ratio its kind asks for, Delta^(2)/Delta^(1) (>= 0;
+  /// -> 1 as sep leaves the window) or tau^(2)/tau^(1).
+  virtual void evaluateMany(std::span<const DualQuery> queries,
+                            std::span<DualResult> results) const = 0;
+
+  /// evaluateMany() over one query.
+  DualResult lookup(const DualQuery& q) const;
+  /// lookup()'s value; throws missingTableError() when no table covers @p q.
+  double ratio(const DualQuery& q) const;
 
   double delayRatio(DualQuery q) const {
     q.kind = DualKind::Delay;
@@ -93,7 +102,10 @@ class OracleDualInputModel : public DualInputModel {
   OracleDualInputModel(GateSimulator& sim, const SingleInputModelSet& singles,
                        DualMemo* memo = nullptr);
 
-  double ratio(const DualQuery& q) const override;
+  /// Simulates (or recalls from the memo) each query in index order.  A
+  /// failed simulation throws out of the batch.
+  void evaluateMany(std::span<const DualQuery> queries,
+                    std::span<DualResult> results) const override;
 
  private:
   DualMemo::Pair evaluate(const DualQuery& q) const;
@@ -140,14 +152,6 @@ struct DualTable {
   /// Number of healed points (0 when the sweep completed cleanly).
   std::size_t healedCount() const;
 
-  /// Trilinear interpolation, clamped to the grid boundary.  When
-  /// @p clampDistance is non-null it receives how far outside the grid the
-  /// query fell, as the largest per-axis overshoot relative to that axis's
-  /// span (0 for in-grid queries); STA uses it to decide when a clamped
-  /// answer is too extrapolated to trust.
-  double interpolate(double uu, double vv, double ww,
-                     double* clampDistance = nullptr) const;
-
   /// Storage footprint in bytes (Fig 4-2 accounting).
   std::size_t bytes() const {
     return sizeof(double) * (u.size() + v.size() + w.size() + ratio.size()) +
@@ -169,9 +173,8 @@ struct DualTable {
 /// serialized representation; every set*Table call additionally recompiles a
 /// flat structure-of-arrays index -- all grids and value planes packed into
 /// one contiguous arena, with per-table axis metadata (dimensions, strides,
-/// arena offsets) and dense slot arrays keyed exactly like the maps.  The
-/// batched evaluateMany() runs entirely on that arena; the scalar entry
-/// points keep the legacy map walk.  Both produce bit-identical values.
+/// arena offsets) and dense slot arrays keyed exactly like the maps.  Every
+/// query is answered on that arena.
 class TabulatedDualInputModel : public DualInputModel {
  public:
   explicit TabulatedDualInputModel(const SingleInputModelSet& singles);
@@ -199,27 +202,18 @@ class TabulatedDualInputModel : public DualInputModel {
   /// All installed pair-table keys as (refPin, otherPin, edge) tuples.
   std::vector<std::tuple<int, int, wave::Edge>> pairKeys() const;
 
-  /// Scalar reference lookup (the DualTable map walk plus
-  /// DualTable::interpolate()): @p q's kind selects the delay or transition
-  /// table.  A query outside a table grid is answered with the clamped
+  /// Answers each query on the compiled SoA arena: @p q's kind selects the
+  /// delay or transition table.  A query outside its proximity window is
+  /// 1.0; a query outside a table grid is answered with the clamped
   /// boundary value and its clamp distance; a query no table covers comes
-  /// back with Status::MissingTable.
-  DualResult lookup(const DualQuery& q) const;
-
-  /// lookup(); throws missingTableError() when no table covers the query.
-  double ratio(const DualQuery& q) const override;
-
-  /// Batched evaluation over the compiled SoA arena: answers queries[i]
-  /// (its kind selecting delay vs transition) into results[i], bit-identical
-  /// to lookup(queries[i]) -- values, clamp distances, statuses and window
-  /// shortcuts.  Grid location runs per lane;
-  /// the trilinear blend runs through the simd:: dispatch shim (AVX2/NEON
-  /// with a scalar fallback, PROX_SIMD=off override).
+  /// back with Status::MissingTable.  Grid location runs per lane; the
+  /// trilinear blend runs through the simd:: dispatch shim (AVX2/NEON with a
+  /// scalar fallback, PROX_SIMD=off override), bit-identical on every path.
   ///
   /// Not safe to call concurrently with set*Table (which recompiles the
   /// index); concurrent evaluateMany calls are fine.
   void evaluateMany(std::span<const DualQuery> queries,
-                    std::span<DualResult> results) const;
+                    std::span<DualResult> results) const override;
 
   /// Total table storage in bytes.
   std::size_t totalBytes() const;
@@ -236,8 +230,7 @@ class TabulatedDualInputModel : public DualInputModel {
   /// precomputed flattening strides (nv*nw and nw) so lane index arithmetic
   /// never re-derives them from grid sizes.  Each axis also carries its
   /// precomputed overshoot normalizer (the axis span, or max(|lo|, 1) for
-  /// degenerate grids -- exactly overshoot()'s denominator) so the batched
-  /// path never re-derives it per lane.
+  /// degenerate grids) so no lane re-derives it.
   struct TableView {
     std::uint32_t nu = 0, nv = 0, nw = 0;
     std::uint32_t strideU = 0, strideV = 0;
@@ -260,8 +253,7 @@ class TabulatedDualInputModel : public DualInputModel {
   std::vector<double> arena_;      ///< all grids + value planes, contiguous
   std::vector<TableView> views_;   ///< one entry per installed table
   /// Dense slot arrays: map key -> view index, -1 when absent.  Sized to the
-  /// largest installed key, so an out-of-range probe means "no table" --
-  /// exactly what the map find would conclude.
+  /// largest installed key, so an out-of-range probe means "no table".
   std::vector<std::int32_t> delaySlots_, transSlots_;
   std::vector<std::int32_t> pairDelaySlots_, pairTransSlots_;
 };

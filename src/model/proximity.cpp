@@ -230,6 +230,88 @@ void ProximityFold::recordStats(std::span<const ProximityFold> folds) {
                     transitionOnly);
 }
 
+namespace {
+
+/// One round's queries against one dual-input model.
+struct Bucket {
+  const DualInputModel* model = nullptr;
+  std::vector<DualQuery> queries;
+  std::vector<std::uint32_t> lanes;  ///< the lane of each query
+};
+
+/// Per-thread round scratch: buckets and answers keep their capacity across
+/// calls, so a chunk of STA arcs allocates nothing per round once warm.
+struct RoundScratch {
+  std::vector<Bucket> buckets;
+  std::size_t bucketsUsed = 0;
+  std::vector<DualResult> answers;
+
+  Bucket& bucketFor(const DualInputModel* model) {
+    for (std::size_t b = 0; b < bucketsUsed; ++b) {
+      if (buckets[b].model == model) return buckets[b];
+    }
+    if (bucketsUsed == buckets.size()) buckets.emplace_back();
+    Bucket& b = buckets[bucketsUsed++];
+    b.model = model;
+    b.queries.clear();
+    b.lanes.clear();
+    return b;
+  }
+};
+
+}  // namespace
+
+void answerFolds(std::span<ProximityFold> folds, std::span<FoldLane> lanes) {
+  thread_local RoundScratch s;
+  for (;;) {
+    s.bucketsUsed = 0;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      FoldLane& lane = lanes[i];
+      if (!lane.folding) continue;
+      ProximityFold& fold = folds[i];
+      if (!fold.next()) {
+        lane.folding = false;
+        fold.finish(*lane.correction);
+        continue;
+      }
+      Bucket& b = s.bucketFor(lane.dual);
+      const auto li = static_cast<std::uint32_t>(i);
+      b.queries.push_back(fold.query(DualKind::Transition));
+      b.lanes.push_back(li);
+      if (fold.inDelayWindow()) {
+        b.queries.push_back(fold.query(DualKind::Delay));
+        b.lanes.push_back(li);
+      }
+    }
+    if (s.bucketsUsed == 0) return;
+
+    for (std::size_t bi = 0; bi < s.bucketsUsed; ++bi) {
+      const Bucket& b = s.buckets[bi];
+      s.answers.assign(b.queries.size(), DualResult{});
+      b.model->evaluateMany(b.queries, s.answers);
+      // Staging order puts a fold's transition answer before its delay
+      // answer, so a missing table fails the fold on its transition query.
+      for (std::size_t k = 0; k < b.queries.size(); ++k) {
+        FoldLane& lane = lanes[b.lanes[k]];
+        if (!lane.folding) continue;
+        const DualResult& r = s.answers[k];
+        if (r.status != DualResult::Status::Ok) {
+          lane.failure =
+              std::make_exception_ptr(missingTableError(b.queries[k]));
+          lane.folding = false;
+          continue;
+        }
+        lane.maxClamp = std::max(lane.maxClamp, r.clampDistance);
+        (b.queries[k].kind == DualKind::Delay ? lane.dRatio : lane.tRatio) =
+            r.value;
+      }
+    }
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      if (lanes[i].folding) folds[i].apply(lanes[i].tRatio, lanes[i].dRatio);
+    }
+  }
+}
+
 ProximityResult classicDelay(const std::vector<InputEvent>& events,
                              DominanceSense sense,
                              const SingleInputModelSet& singles) {
@@ -259,21 +341,21 @@ ProximityResult ProximityCalculator::compute(
     }
   }
   ProximityFold fold;
+  FoldLane lane;
+  lane.dual = &dual_;
+  lane.correction = &correction_;
   try {
     fold.start(events, sense_(events), singles_, options_);
-    while (fold.next()) {
-      const double tRatio = dual_.ratio(fold.query(DualKind::Transition));
-      fold.apply(tRatio, fold.inDelayWindow()
-                             ? dual_.ratio(fold.query(DualKind::Delay))
-                             : 1.0);
-    }
-    fold.finish(correction_);
+    lane.folding = true;
+    answerFolds({&fold, 1}, {&lane, 1});
   } catch (...) {
-    // A failed lookup still counts the compute and the windows it crossed.
+    // A failed start or simulation still counts the compute and the windows
+    // it crossed, as a failed lookup does.
     ProximityFold::recordStats({&fold, 1});
     throw;
   }
   ProximityFold::recordStats({&fold, 1});
+  if (lane.failure) std::rethrow_exception(lane.failure);
   return std::move(fold).result();
 }
 

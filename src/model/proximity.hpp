@@ -20,9 +20,14 @@
 //      identical inputs; very late dominant input): full magnitude (the
 //      characterized simultaneous-step error) for s_{y1,ym} <= 0, decaying
 //      linearly to zero at s_{y1,ym} = Delta^{(m-1)}.
+//
+// The algorithm is written once, as ProximityFold, and answered by one
+// loop, answerFolds(): ProximityCalculator::compute() runs it over one fold,
+// sta::evaluateGateBatch() over a chunk of arcs.
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <vector>
 
@@ -84,10 +89,10 @@ struct ProximityResult {
   double correctionApplied = 0.0;  ///< signed corrective delay term [s]
 };
 
-/// Algorithm ProximityDelay for one arc, written once as a fold that a query
-/// sink answers round by round.  Each round stages the next input inside a
-/// proximity window: its transition query, plus its delay query inside the
-/// delay window.
+/// Algorithm ProximityDelay for one arc, written once as a fold that
+/// answerFolds() answers round by round.  Each round stages the next input
+/// inside a proximity window: its transition query, plus its delay query
+/// inside the delay window.
 ///
 ///   fold.start(events, sense, singles, options);
 ///   while (fold.next()) {
@@ -100,9 +105,6 @@ struct ProximityResult {
 ///
 /// The fold owns everything else: dominance order, window exits and skips,
 /// the recurrence, the corrective term and the result.
-/// ProximityCalculator::compute() answers with the DualInputModel's scalar
-/// lookups; sta::evaluateGateBatch() advances a chunk of folds in lockstep
-/// and answers each round with one evaluateMany() per table model.
 class ProximityFold {
  public:
   /// Steps 1-2: orders @p events (non-empty, same-direction, outliving the
@@ -164,6 +166,28 @@ class ProximityFold {
   std::uint64_t windowExits_ = 0, windowSkipped_ = 0;
 };
 
+/// A fold's place in answerFolds(): the model that answers its queries, the
+/// corrective term it finishes with, and what its answers left behind.
+struct FoldLane {
+  const DualInputModel* dual = nullptr;
+  const StepCorrection* correction = nullptr;
+  /// Set by the caller once the fold has started; answerFolds() clears it
+  /// when the fold finishes or fails.
+  bool folding = false;
+  double maxClamp = 0.0;       ///< worst clamp distance of the fold's answers
+  std::exception_ptr failure;  ///< why the fold failed, e.g. a missing table
+  double tRatio = 1.0, dRatio = 1.0;  ///< the current round's answers
+};
+
+/// Answers folds[i] through lanes[i], for every folding lane, round by round
+/// until each fold has finished or failed.  Each round stages every live
+/// fold's queries, groups them per model in first-use order, and answers
+/// each group with one evaluateMany().  A MissingTable answer fails its
+/// fold with missingTableError(), the transition query's before the delay
+/// query's.  An exception thrown by evaluateMany() itself (a failed oracle
+/// simulation) propagates.
+void answerFolds(std::span<ProximityFold> folds, std::span<FoldLane> lanes);
+
 /// Classic single-input-switching calculation: the most dominant input's
 /// Delta^(1)/tau^(1) with proximity ignored.  @p events must be non-empty;
 /// throws when the dominant input's single-input model is missing.
@@ -188,10 +212,10 @@ class ProximityCalculator {
                       StepCorrection correction = {},
                       ProximityOptions options = {});
 
-  /// Computes delay/transition for a set of same-direction input events: the
-  /// ProximityFold answered by the dual model's scalar lookups.  Throws
-  /// std::invalid_argument for empty input or mixed directions (use
-  /// GlitchModel for opposite transitions).
+  /// Computes delay/transition for a set of same-direction input events:
+  /// answerFolds() over one fold.  Throws std::invalid_argument for empty
+  /// input or mixed directions (use GlitchModel for opposite transitions),
+  /// and missingTableError() when no dual table answers a query.
   ProximityResult compute(const std::vector<InputEvent>& events) const;
 
   /// classicDelay() for the same events.  Used by the ablation and

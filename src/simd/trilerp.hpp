@@ -5,7 +5,8 @@
 // scalar per-query work -- axis location, fraction computation, clamping --
 // and hands this kernel pure data-parallel arithmetic: for each lane i,
 // gather the 8 cell-corner values and blend them with the precomputed
-// fractions in the exact operation order of DualTable::interpolate():
+// fractions in the exact operation order of the scalar reference in
+// tests/dual_table_reference.hpp:
 //
 //   lerp(a, b, f) = a + f * (b - a)
 //   c00 = lerp(v000, v100, fu);  c01 = lerp(v001, v101, fu)
@@ -109,11 +110,11 @@ void interpPairNeon(const InterpPairBatch& b);
 ///   idx  = low ? 0 : high ? n-2 : hi-1
 ///   f    = (low ? 0 : high ? 1 : x - g[idx]) /
 ///          (low || high ? 1 : g[idx+1] - g[idx])
-/// This is locate()/overshoot() of DualTable::interpolate() with the
-/// fraction's edge cases staged as the exact quotients 0/1 and 1/1, the
-/// bracketing scan replaced by the equivalent sorted-prefix count, and the
-/// overshoot's early return replaced by max-with-0 (identical value for
-/// every finite x).  All selects use strict (a > b ? a : b) semantics and
+/// This is the per-axis location and overshoot of the scalar reference
+/// (tests/dual_table_reference.hpp) with the fraction's edge cases staged
+/// as the exact quotients 0/1 and 1/1, the bracketing scan replaced by the
+/// equivalent sorted-prefix count, and the overshoot's early return
+/// replaced by max-with-0 (identical value for every finite x).  All selects use strict (a > b ? a : b) semantics and
 /// the divisions are correctly rounded, so scalar and vector paths agree
 /// bit for bit.  Requires n >= 2 (single-point grids are the caller's
 /// trivial special case).

@@ -13,37 +13,25 @@ namespace prox::sta {
 
 namespace {
 
-/// The batch sink's per-arc state beside the arc's fold and events.
-struct Lane {
+/// The STA's per-arc state beside the arc's fold and its lane.
+struct ArcState {
   model::DominanceSense sense = model::DominanceSense::EarliestFirst;
-  bool folding = false;  ///< the fold still has rounds to answer
-  double tRatio = 1.0, dRatio = 1.0;  ///< the current round's answers
-  double maxClamp = 0.0;  ///< worst clamp distance of the arc's lookups
-  std::exception_ptr failure;  ///< why the Proximity rung failed
-  std::exception_ptr escape;   ///< what this arc throws out of the batch
-};
-
-/// One round's queries against one dual-table model.
-struct Bucket {
-  const model::TabulatedDualInputModel* model = nullptr;
-  std::vector<model::DualQuery> queries;
-  std::vector<std::uint32_t> arcs;  ///< the arc of each query
+  std::exception_ptr escape;  ///< what this arc throws out of the batch
 };
 
 /// Reusable per-thread scratch: the STA calls evaluateGateBatch once per
-/// 64-arc chunk, and fresh folds, event vectors and buckets per call made
-/// allocation churn the dominant batching cost (EXPERIMENTS.md §P3).  Every
-/// buffer keeps its capacity across chunks.
+/// 64-arc chunk, and fresh folds and event vectors per call made allocation
+/// churn the dominant batching cost (EXPERIMENTS.md §P3).  Every buffer keeps
+/// its capacity across chunks.
 struct EvalScratch {
   std::vector<model::ProximityFold> folds;
   std::vector<std::vector<model::InputEvent>> events;
-  std::vector<Lane> lanes;
-  std::vector<Bucket> buckets;
-  std::size_t bucketsUsed = 0;
-  std::vector<model::DualResult> answers;
+  std::vector<model::FoldLane> lanes;
+  std::vector<ArcState> states;
 
   void reset(std::size_t n) {
-    lanes.assign(n, Lane{});
+    lanes.assign(n, model::FoldLane{});
+    states.assign(n, ArcState{});
     if (folds.size() < n) {
       folds.resize(n);
       events.resize(n);
@@ -53,90 +41,11 @@ struct EvalScratch {
       events[i].clear();
     }
   }
-
-  Bucket& bucketFor(const model::TabulatedDualInputModel* model) {
-    for (std::size_t b = 0; b < bucketsUsed; ++b) {
-      if (buckets[b].model == model) return buckets[b];
-    }
-    if (bucketsUsed == buckets.size()) buckets.emplace_back();
-    Bucket& b = buckets[bucketsUsed++];
-    b.model = model;
-    b.queries.clear();
-    b.arcs.clear();
-    return b;
-  }
 };
 
 EvalScratch& evalScratch() {
   thread_local EvalScratch s;
   return s;
-}
-
-/// Answers the lanes' folds round by round until every fold has finished or
-/// failed.  Each round stages every live fold's next queries, grouped by
-/// table model in first-use order, and answers each group with one
-/// evaluateMany().
-void answerFolds(std::span<const BatchArc> arcs, const DelayCalcOptions& opt,
-                 EvalScratch& s, std::uint64_t& clampedArcs) {
-  const std::size_t n = arcs.size();
-  for (;;) {
-    s.bucketsUsed = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      Lane& lane = s.lanes[i];
-      if (!lane.folding) continue;
-      model::ProximityFold& fold = s.folds[i];
-      const characterize::CharacterizedGate& cell = *arcs[i].cell;
-      if (!fold.next()) {
-        lane.folding = false;
-        fold.finish(cell.correction);
-        if (lane.maxClamp > 0.0) ++clampedArcs;
-        if (lane.maxClamp > opt.maxClampDistance) {
-          lane.failure = std::make_exception_ptr(support::DiagnosticError(
-              support::makeDiagnostic(
-                  support::StatusCode::TableOutOfRange,
-                  "proximity lookup clamped beyond the trust distance")
-                  .withSite("sta.delay_calc")));
-        }
-        continue;
-      }
-      Bucket& b = s.bucketFor(cell.dual.get());
-      const auto arc = static_cast<std::uint32_t>(i);
-      b.queries.push_back(fold.query(model::DualKind::Transition));
-      b.arcs.push_back(arc);
-      if (fold.inDelayWindow()) {
-        b.queries.push_back(fold.query(model::DualKind::Delay));
-        b.arcs.push_back(arc);
-      }
-    }
-    if (s.bucketsUsed == 0) return;
-
-    for (std::size_t bi = 0; bi < s.bucketsUsed; ++bi) {
-      const Bucket& b = s.buckets[bi];
-      s.answers.assign(b.queries.size(), model::DualResult{});
-      b.model->evaluateMany(b.queries, s.answers);
-      // Staging order puts an arc's transition answer before its delay
-      // answer, so a missing table fails the arc on the query the scalar
-      // sink would have thrown on.
-      for (std::size_t k = 0; k < b.queries.size(); ++k) {
-        Lane& lane = s.lanes[b.arcs[k]];
-        if (!lane.folding) continue;
-        const model::DualResult& r = s.answers[k];
-        if (r.status != model::DualResult::Status::Ok) {
-          lane.failure =
-              std::make_exception_ptr(model::missingTableError(b.queries[k]));
-          lane.folding = false;
-          continue;
-        }
-        lane.maxClamp = std::max(lane.maxClamp, r.clampDistance);
-        (b.queries[k].kind == model::DualKind::Delay ? lane.dRatio
-                                                     : lane.tRatio) = r.value;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const Lane& lane = s.lanes[i];
-      if (lane.folding) s.folds[i].apply(lane.tRatio, lane.dRatio);
-    }
-  }
 }
 
 }  // namespace
@@ -156,13 +65,14 @@ void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
 
   // Setup: events, caller-bug checks, and Steps 1-2 of every fold.
   for (std::size_t i = 0; i < n; ++i) {
-    Lane& lane = s.lanes[i];
+    ArcState& st = s.states[i];
+    model::FoldLane& lane = s.lanes[i];
     std::vector<model::InputEvent>& events = s.events[i];
     const characterize::CharacterizedGate& cell = *arcs[i].cell;
     const std::vector<std::optional<Arrival>>& pins = *arcs[i].pins;
     results[i] = BatchArcResult{};
     if (static_cast<int>(pins.size()) != cell.pinCount()) {
-      lane.escape = std::make_exception_ptr(
+      st.escape = std::make_exception_ptr(
           std::invalid_argument("evaluateGate: pin count mismatch"));
       continue;
     }
@@ -180,32 +90,47 @@ void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
     const wave::Edge edge = events.front().edge;
     if (std::any_of(events.begin(), events.end(),
                     [edge](const auto& ev) { return ev.edge != edge; })) {
-      lane.escape = std::make_exception_ptr(std::invalid_argument(
+      st.escape = std::make_exception_ptr(std::invalid_argument(
           "evaluateGate: mixed input directions on one gate"));
       continue;
     }
-    lane.sense = model::dominanceSense(cell.gate, events);
+    st.sense = model::dominanceSense(cell.gate, events);
     if (mode != DelayMode::Proximity) continue;
+    lane.dual = cell.dual.get();
+    lane.correction = &cell.correction;
     try {
       // The STA always runs the default ProximityOptions, exactly what
       // cell.calculator() constructs.
-      s.folds[i].start(events, lane.sense, *cell.singles, {});
+      s.folds[i].start(events, st.sense, *cell.singles, {});
       lane.folding = true;
     } catch (const std::exception&) {
       lane.failure = std::current_exception();
     }
   }
 
-  answerFolds(arcs, opt, s, clampedArcs);
+  model::answerFolds(std::span(s.folds.data(), n), s.lanes);
 
   // Degradation ladder: the requested mode first; on a model-side failure
   // fall to the classic single-input calculation, and as a last resort to a
   // pure slew estimate so the STA always completes with a bounded answer.
   for (std::size_t i = 0; i < n; ++i) {
-    Lane& lane = s.lanes[i];
+    ArcState& st = s.states[i];
+    model::FoldLane& lane = s.lanes[i];
     const std::vector<model::InputEvent>& events = s.events[i];
-    if (events.empty() || lane.escape) continue;
+    if (events.empty() || st.escape) continue;
     const characterize::CharacterizedGate& cell = *arcs[i].cell;
+    if (mode == DelayMode::Proximity && !lane.failure) {
+      // Trust distance: a finished fold fails when its worst lookup clamped
+      // too far outside the grid.
+      if (lane.maxClamp > 0.0) ++clampedArcs;
+      if (lane.maxClamp > opt.maxClampDistance) {
+        lane.failure = std::make_exception_ptr(support::DiagnosticError(
+            support::makeDiagnostic(
+                support::StatusCode::TableOutOfRange,
+                "proximity lookup clamped beyond the trust distance")
+                .withSite("sta.delay_calc")));
+      }
+    }
     ArcQuality q = ArcQuality::Full;
     Arrival out;
     out.edge = cell.gate.spec.outputEdgeFor(events.front().edge);
@@ -215,7 +140,7 @@ void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
     } else {
       if (mode == DelayMode::Proximity) {
         if (!opt.allowDegraded) {
-          lane.escape = lane.failure;
+          st.escape = lane.failure;
           continue;
         }
         ++singleFallbacks;
@@ -223,12 +148,12 @@ void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
       }
       try {
         const model::ProximityResult r =
-            model::classicDelay(events, lane.sense, *cell.singles);
+            model::classicDelay(events, st.sense, *cell.singles);
         out.time = r.outputRefTime;
         out.slope = r.transitionTime;
       } catch (const std::exception&) {
         if (!opt.allowDegraded) {
-          lane.escape = std::current_exception();
+          st.escape = std::current_exception();
           continue;
         }
         // Last rung: no model answered, so bound the arc by the latest
@@ -266,7 +191,7 @@ void evaluateGateBatch(std::span<const BatchArc> arcs, DelayMode mode,
   PROX_OBS_COUNT_IN(obsCells, "sta.delay_calc.degraded_arcs", degraded);
 
   for (std::size_t i = 0; i < n; ++i) {
-    if (s.lanes[i].escape) std::rethrow_exception(s.lanes[i].escape);
+    if (s.states[i].escape) std::rethrow_exception(s.states[i].escape);
   }
 }
 

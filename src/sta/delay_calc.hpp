@@ -78,12 +78,12 @@ struct BatchArcResult {
 
 /// Evaluates arcs[i] into results[i] (@p results at least as long as
 /// @p arcs).  In Proximity mode every arc runs Algorithm ProximityDelay as a
-/// model::ProximityFold; the chunk's folds advance in lockstep rounds and
-/// each round's dual-table queries are answered with one
-/// TabulatedDualInputModel::evaluateMany() per model.  An arc whose
-/// requested mode fails (missing table or single-input model, a lookup
-/// clamped beyond opt.maxClampDistance) degrades down the ladder
-/// Proximity -> classic -> slew estimate when opt.allowDegraded is set.
+/// model::ProximityFold, and model::answerFolds() answers the chunk's folds
+/// in lockstep rounds -- the loop ProximityCalculator::compute() runs over
+/// one fold.  An arc whose requested mode fails (missing table or
+/// single-input model, a lookup clamped beyond opt.maxClampDistance)
+/// degrades down the ladder Proximity -> classic -> slew estimate when
+/// opt.allowDegraded is set.
 /// All switching pins of an arc must share a direction.  After every arc is
 /// evaluated, the lowest-index arc's error is thrown: std::invalid_argument
 /// for mixed directions or a pin-count mismatch (caller bugs are never

@@ -31,6 +31,7 @@
 #include "sta/timing_graph.hpp"
 #include "support/durable_io.hpp"
 #include "support/fault_injection.hpp"
+#include "dual_table_reference.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -489,13 +490,12 @@ TEST(LargeStaDeterminism, BlifRoundTripMatchesDirectBuild) {
             kLargeProximityChecksum);
 }
 
-// --- batched dual-table lookups vs the scalar entry points ------------------
+// --- batched dual-table lookups vs the scalar reference ---------------------
 //
-// Property: evaluateMany() must be bit-identical to N scalar delayRatio()/
-// transitionRatio() calls -- values AND clamp distances -- for arbitrary
-// query mixes (in-grid, clamped, window shortcuts, missing tables), on every
-// SIMD dispatch path.  Queries the scalar path answers with a throw must
-// come back as Status::MissingTable.
+// Property: evaluateMany() must be bit-identical to the scalar map-walk
+// reference (dual_table_reference.hpp) -- values, clamp distances and
+// statuses -- for arbitrary query mixes (in-grid, clamped, window shortcuts,
+// missing tables), on every SIMD dispatch path.
 
 /// Deterministic 64-bit generator (splitmix64): no std random machinery, so
 /// the query set is identical on every platform and run.
@@ -584,7 +584,8 @@ void expectBatchMatchesScalar(const BatchedFixture& fx,
   fx.model->evaluateMany(qs, batch);
   std::size_t missing = 0;
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    const model::DualResult scalar = fx.model->lookup(qs[i]);
+    const model::DualResult scalar =
+        testref::lookup(*fx.model, fx.singles, qs[i]);
     ASSERT_EQ(batch[i].status, scalar.status) << "lane " << i;
     if (scalar.status != model::DualResult::Status::Ok) {
       ++missing;
@@ -656,7 +657,8 @@ TEST(BatchedDualDeterminism, EvaluateManyHandlesEdgeLanes) {
   std::vector<model::DualResult> batch(qs.size());
   fx.model->evaluateMany(qs, batch);
   for (std::size_t i = 0; i < qs.size(); ++i) {
-    const model::DualResult scalar = fx.model->lookup(qs[i]);
+    const model::DualResult scalar =
+        testref::lookup(*fx.model, fx.singles, qs[i]);
     EXPECT_EQ(batch[i].status, model::DualResult::Status::Ok) << "lane " << i;
     EXPECT_EQ(batch[i].status, scalar.status) << "lane " << i;
     EXPECT_EQ(batch[i].value, scalar.value) << "lane " << i;

@@ -423,18 +423,36 @@ TEST(StaDegraded, StrictOptionsRethrowTyped) {
     FAIL() << "expected missing-table failure";
   } catch (const DiagnosticError& e) {
     EXPECT_EQ(e.code(), StatusCode::TableMissing);
-    // The batched STA reports exactly what the scalar lookup throws for the
-    // same arc, reference pin included.
+    // The batched STA reports exactly what compute() throws for the same
+    // arc, reference pin included.
     try {
       cellWithoutDuals().calculator().compute(
           {{0, Edge::Rising, 0.0, 100e-12}, {1, Edge::Rising, 20e-12, 100e-12}});
-      FAIL() << "expected the scalar lookup to fail too";
+      FAIL() << "expected compute() to fail too";
     } catch (const DiagnosticError& scalar) {
       EXPECT_STREQ(e.what(), scalar.what());
       EXPECT_EQ(e.diagnostic().pin, scalar.diagnostic().pin);
       EXPECT_GE(e.diagnostic().pin, 0);
     }
   }
+}
+
+TEST(StaDegraded, ComputeCountsTheLookupsTheBatchCounts) {
+  // compute() and the STA answer a fold through one loop, so a missing-table
+  // arc counts its transition and delay lookups, both missing, either way.
+  const std::vector<model::InputEvent> events = {
+      {0, Edge::Rising, 0.0, 100e-12}, {1, Edge::Rising, 20e-12, 100e-12}};
+  const DualLookupDeltas scalar;
+  EXPECT_THROW(cellWithoutDuals().calculator().compute(events),
+               DiagnosticError);
+  scalar.expect(2, 0, 2);
+
+  const std::vector<std::optional<sta::Arrival>> pins = {
+      sta::Arrival{0.0, 100e-12, Edge::Rising},
+      sta::Arrival{20e-12, 100e-12, Edge::Rising}};
+  const DualLookupDeltas batch;
+  sta::evaluateGate(cellWithoutDuals(), pins, sta::DelayMode::Proximity);
+  batch.expect(2, 0, 2);
 }
 
 TEST(StaDegraded, DistrustedClampDegradesArc) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "dual_table_reference.hpp"
 #include "test_util.hpp"
 
 namespace {
@@ -123,10 +124,13 @@ TEST(DualTable, TrilinearInterpolationExactAtNodes) {
       }
     }
   }
-  EXPECT_DOUBLE_EQ(t.interpolate(0.0, 0.0, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(t.interpolate(1.0, 1.0, 1.0), 7.0);
-  EXPECT_DOUBLE_EQ(t.interpolate(0.5, 0.5, 0.5), 3.5);
-  EXPECT_DOUBLE_EQ(t.interpolate(0.25, 0.75, 0.5), 0.25 + 1.5 + 2.0);
+  const auto at = [&t](double u, double v, double w) {
+    return testref::arenaLookup(t, u, v, w).value;
+  };
+  EXPECT_DOUBLE_EQ(at(0.0, 0.0, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(at(1.0, 1.0, 1.0), 7.0);
+  EXPECT_DOUBLE_EQ(at(0.5, 0.5, 0.5), 3.5);
+  EXPECT_DOUBLE_EQ(at(0.25, 0.75, 0.5), 0.25 + 1.5 + 2.0);
 }
 
 TEST(DualTable, ClampsOutsideGrid) {
@@ -135,7 +139,7 @@ TEST(DualTable, ClampsOutsideGrid) {
   t.v = {0.0, 1.0};
   t.w = {0.0, 1.0};
   t.ratio.assign(8, 2.0);
-  EXPECT_DOUBLE_EQ(t.interpolate(-5.0, 0.5, 9.0), 2.0);
+  EXPECT_DOUBLE_EQ(testref::arenaLookup(t, -5.0, 0.5, 9.0).value, 2.0);
 }
 
 TEST(DualTable, BytesAccountsForAxesAndValues) {

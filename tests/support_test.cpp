@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "dual_table_reference.hpp"
 #include "model/dual_input.hpp"
 #include "support/diagnostic.hpp"
 #include "support/fault_injection.hpp"
@@ -137,23 +138,19 @@ model::DualTable tinyTable() {
 
 TEST(DualTable, InGridQueryReportsZeroClampDistance) {
   const model::DualTable t = tinyTable();
-  double dist = -1.0;
-  t.interpolate(1.5, 1.0, 0.0, &dist);
-  EXPECT_DOUBLE_EQ(dist, 0.0);
+  EXPECT_DOUBLE_EQ(testref::arenaLookup(t, 1.5, 1.0, 0.0).clampDistance, 0.0);
 }
 
 TEST(DualTable, OutOfGridQueryClampsAndReportsDistance) {
   const model::DualTable t = tinyTable();
-  double dist = 0.0;
   // u overshoots by 1.0 beyond a span of 1.0 -> relative distance 1.0.
-  const double r = t.interpolate(3.0, 1.0, 0.0, &dist);
-  EXPECT_DOUBLE_EQ(dist, 1.0);
-  EXPECT_TRUE(std::isfinite(r));
+  const model::DualResult r = testref::arenaLookup(t, 3.0, 1.0, 0.0);
+  EXPECT_DOUBLE_EQ(r.clampDistance, 1.0);
+  EXPECT_TRUE(std::isfinite(r.value));
   // The clamped answer equals the boundary value.
-  EXPECT_DOUBLE_EQ(r, t.interpolate(2.0, 1.0, 0.0));
+  EXPECT_DOUBLE_EQ(r.value, testref::arenaLookup(t, 2.0, 1.0, 0.0).value);
   // The largest per-axis overshoot wins.
-  t.interpolate(3.0, 1.0, 5.0, &dist);
-  EXPECT_DOUBLE_EQ(dist, 2.0);
+  EXPECT_DOUBLE_EQ(testref::arenaLookup(t, 3.0, 1.0, 5.0).clampDistance, 2.0);
 }
 
 TEST(DualTable, HealedMarksRoundTripThroughAccessors) {
