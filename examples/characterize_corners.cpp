@@ -22,31 +22,27 @@
 //   --inject=hang@0       shard 0's first attempt stops producing output
 //   --inject=corrupt@2    shard 2's first attempt corrupts its artifact
 //
-// Exit codes: 0 all corners characterized; 1 some corners quarantined (the
-// bundle and report are still written); 2 usage; 6 cancelled (SIGINT /
-// SIGTERM / --timeout).
+// Flags and exit codes follow the tools' shared contract (cli.hpp; README
+// "Exit codes"); a fleet that completes with quarantined corners exits 1,
+// with the bundle and report still written.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cells/corner.hpp"
 #include "characterize/checkpoint.hpp"
 #include "characterize/serialize.hpp"
-#include "cli_flags.hpp"
+#include "cli.hpp"
 #include "fleet/bundle.hpp"
 #include "fleet/orchestrator.hpp"
-#include "obs/report.hpp"
-#include "par/pool.hpp"
-#include "support/cancel.hpp"
 #include "support/durable_io.hpp"
 #include "support/fault_injection.hpp"
 #include "support/journal.hpp"
@@ -56,19 +52,14 @@ using cli::flagValue;
 
 namespace {
 
-int usage(const char* argv0) {
-  std::fprintf(
-      stderr,
-      "usage: %s [--corners FILE] [--out BUNDLE] [--workdir DIR]\n"
-      "          [--shards N] [--max-retries N] [--retry-backoff SECS]\n"
-      "          [--deadline SECS] [--heartbeat-timeout SECS]\n"
-      "          [--resume] [--quick] [--threads N] [--fsync-every N]\n"
-      "          [--progress SECS] [--timeout SECS] [--report FILE]\n"
-      "          [--inject SPEC[,SPEC...]] [--stats FILE] [--quiet]\n"
-      "  SPEC: (crash|hang|corrupt)@SHARD[*COUNT]\n",
-      argv0);
-  return 2;
-}
+constexpr const char* kUsage =
+    "usage: %s [--corners FILE] [--out BUNDLE] [--workdir DIR]\n"
+    "          [--shards N] [--max-retries N] [--retry-backoff SECS]\n"
+    "          [--deadline SECS] [--heartbeat-timeout SECS]\n"
+    "          [--resume] [--quick] [--threads N] [--fsync-every N]\n"
+    "          [--progress SECS] [--timeout SECS] [--report FILE]\n"
+    "          [--inject SPEC[,SPEC...]] [--stats FILE|-] [--quiet]\n"
+    "  SPEC: (crash|hang|corrupt)@SHARD[*COUNT]\n";
 
 std::string hex64(std::uint64_t v) {
   char buf[17];
@@ -193,17 +184,12 @@ bool artifactValid(const std::string& path, std::string* reason) {
 /// plain exit-coded program, so it can also be run by hand for debugging).
 int runWorker(const cells::Corner& corner, const std::string& workdir,
               bool quick, int threads, int fsyncEveryN, bool resume,
-              double progressSecs, double timeoutSecs, long long crashAt,
-              bool faultHang, bool faultCorrupt) {
-  support::CancelToken cancelToken;
-  if (timeoutSecs > 0.0) cancelToken.setTimeout(timeoutSecs);
-  support::SignalCancelScope signalScope(&cancelToken);
-  support::CancelScope mainScope(&cancelToken);
-
+              double progressSecs, long long crashAt, bool faultHang,
+              bool faultCorrupt, support::CancelToken* cancel) {
   const cells::CellSpec spec = cellAtCorner(corner);
   characterize::CharacterizationConfig cfg =
       sweepConfig(quick, threads, progressSecs);
-  cfg.cancel = &cancelToken;
+  cfg.cancel = cancel;
 
   support::Journal::Options journalOptions;
   if (fsyncEveryN >= 1) journalOptions.fsyncEveryN = fsyncEveryN;
@@ -244,16 +230,9 @@ int runWorker(const cells::Corner& corner, const std::string& workdir,
   characterize::CharacterizedGate gate;
   try {
     gate = characterize::characterizeGate(spec, cfg);
-  } catch (const support::DiagnosticError& e) {
-    checkpoint.flush();
-    std::fprintf(stderr, "%s\n", e.diagnostic().toString().c_str());
-    const support::StatusCode code = e.code();
-    if (code == support::StatusCode::Cancelled ||
-        code == support::StatusCode::DeadlineExceeded) {
-      return 6;
-    }
-    if (code == support::StatusCode::ResourceExhausted) return 7;
-    return 1;
+  } catch (const support::DiagnosticError&) {
+    checkpoint.flush();  // the retry resumes from what this attempt computed
+    throw;
   }
   checkpoint.flush();
 
@@ -287,7 +266,9 @@ struct InjectSpec {
   int count = 1;
 };
 
-bool parseInject(const std::string& text, std::vector<InjectSpec>* out) {
+/// Parses --inject's comma-separated SPECs; a bad one is a usage error.
+std::vector<InjectSpec> parseInject(const std::string& text) {
+  std::vector<InjectSpec> out;
   std::size_t start = 0;
   while (start < text.size()) {
     std::size_t comma = text.find(',', start);
@@ -295,153 +276,132 @@ bool parseInject(const std::string& text, std::vector<InjectSpec>* out) {
     const std::string spec = text.substr(start, comma - start);
     start = comma + 1;
     const std::size_t at = spec.find('@');
-    if (at == std::string::npos) return false;
     InjectSpec is;
     is.kind = spec.substr(0, at);
-    if (is.kind != "crash" && is.kind != "hang" && is.kind != "corrupt") {
-      return false;
+    if (at == std::string::npos ||
+        (is.kind != "crash" && is.kind != "hang" && is.kind != "corrupt")) {
+      throw cli::UsageError("bad --inject spec \"" + spec + "\"");
     }
-    std::string rest = spec.substr(at + 1);
-    const std::size_t star = rest.find('*');
+    const std::size_t star = spec.find('*', at);
+    is.shard = static_cast<std::size_t>(cli::intValue(
+        "--inject SHARD", spec.substr(at + 1, star - at - 1).c_str(), 0));
     if (star != std::string::npos) {
-      is.count = std::atoi(rest.c_str() + star + 1);
-      if (is.count < 1) return false;
-      rest.resize(star);
+      is.count = static_cast<int>(
+          cli::intValue("--inject COUNT", spec.c_str() + star + 1, 1));
     }
-    if (rest.empty()) return false;
-    for (char c : rest) {
-      if (c < '0' || c > '9') return false;
-    }
-    is.shard = static_cast<std::size_t>(std::atoll(rest.c_str()));
-    out->push_back(std::move(is));
+    out.push_back(std::move(is));
   }
-  return true;
+  return out;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  cli::RunFlags flags;  // --stats, --threads and --timeout only
+  flags.threads = 1;
   std::string cornersPath;
   std::string outPath = "corners.proxbundle";
   std::string workdir;
   std::string reportPath;
-  std::string statsPath;
-  std::string workerCorner;
-  std::string injectText;
+  std::string workerArg;  // --worker-corner: this process is one shard
+  std::string progressArg;  // forwarded to workers as parsed
+  std::vector<InjectSpec> injects;
   int shards = 2;
   int maxRetries = 2;
-  int threads = 1;
   int fsyncEveryN = 0;
   double retryBackoff = 0.25;
   double deadlineSecs = 0.0;
   double heartbeatSecs = 0.0;
   double progressSecs = 0.0;
-  double timeoutSecs = 0.0;
   long long crashAt = -1;
   bool resume = false;
   bool quick = false;
   bool quiet = false;
   bool faultHang = false;
   bool faultCorrupt = false;
+  cells::Corner workerCorner;
 
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if ((v = flagValue("--corners", argv, argc, &i)) != nullptr) {
-      cornersPath = v;
-    } else if ((v = flagValue("--out", argv, argc, &i)) != nullptr) {
-      outPath = v;
-    } else if ((v = flagValue("--workdir", argv, argc, &i)) != nullptr) {
-      workdir = v;
-    } else if ((v = flagValue("--report", argv, argc, &i)) != nullptr) {
-      reportPath = v;
-    } else if ((v = flagValue("--stats", argv, argc, &i)) != nullptr) {
-      statsPath = v;
-    } else if ((v = flagValue("--shards", argv, argc, &i)) != nullptr) {
-      shards = std::atoi(v);
-      if (shards < 1) return usage(argv[0]);
-    } else if ((v = flagValue("--max-retries", argv, argc, &i)) != nullptr) {
-      maxRetries = std::atoi(v);
-      if (maxRetries < 0) return usage(argv[0]);
-    } else if ((v = flagValue("--retry-backoff", argv, argc, &i)) != nullptr) {
-      retryBackoff = std::atof(v);
-      if (retryBackoff < 0.0) return usage(argv[0]);
-    } else if ((v = flagValue("--deadline", argv, argc, &i)) != nullptr) {
-      deadlineSecs = std::atof(v);
-    } else if ((v = flagValue("--heartbeat-timeout", argv, argc, &i)) !=
-               nullptr) {
-      heartbeatSecs = std::atof(v);
-    } else if ((v = flagValue("--threads", argv, argc, &i)) != nullptr) {
-      threads = std::atoi(v);
-      if (threads < 0) return usage(argv[0]);
-    } else if ((v = flagValue("--fsync-every", argv, argc, &i)) != nullptr) {
-      fsyncEveryN = std::atoi(v);
-      if (fsyncEveryN < 1) return usage(argv[0]);
-    } else if ((v = flagValue("--progress", argv, argc, &i)) != nullptr) {
-      progressSecs = std::atof(v);
-    } else if ((v = flagValue("--timeout", argv, argc, &i)) != nullptr) {
-      timeoutSecs = std::atof(v);
-    } else if ((v = flagValue("--inject", argv, argc, &i)) != nullptr) {
-      injectText = v;
-    } else if ((v = flagValue("--worker-corner", argv, argc, &i)) != nullptr) {
-      workerCorner = v;
-    } else if ((v = flagValue("--crash-at", argv, argc, &i)) != nullptr) {
-      crashAt = std::atoll(v);
-    } else if (std::strcmp(argv[i], "--fault-hang") == 0) {
-      faultHang = true;
-    } else if (std::strcmp(argv[i], "--fault-corrupt") == 0) {
-      faultCorrupt = true;
-    } else if (std::strcmp(argv[i], "--resume") == 0) {
-      resume = true;
-    } else if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--quiet") == 0) {
-      quiet = true;
-    } else {
-      return usage(argv[0]);
+  try {
+    for (int i = 1; i < argc; ++i) {
+      const char* v = nullptr;
+      if ((v = flagValue("--corners", argv, argc, &i)) != nullptr) {
+        cornersPath = v;
+      } else if ((v = flagValue("--out", argv, argc, &i)) != nullptr) {
+        outPath = v;
+      } else if ((v = flagValue("--workdir", argv, argc, &i)) != nullptr) {
+        workdir = v;
+      } else if ((v = flagValue("--report", argv, argc, &i)) != nullptr) {
+        reportPath = v;
+      } else if ((v = flagValue("--stats", argv, argc, &i)) != nullptr) {
+        flags.statsPath = cli::nonEmpty("--stats", v);
+      } else if ((v = flagValue("--shards", argv, argc, &i)) != nullptr) {
+        shards = static_cast<int>(cli::intValue("--shards", v, 1));
+      } else if ((v = flagValue("--max-retries", argv, argc, &i)) != nullptr) {
+        maxRetries = static_cast<int>(cli::intValue("--max-retries", v, 0));
+      } else if ((v = flagValue("--retry-backoff", argv, argc, &i)) !=
+                 nullptr) {
+        retryBackoff = cli::secondsValue("--retry-backoff", v, true);
+      } else if ((v = flagValue("--deadline", argv, argc, &i)) != nullptr) {
+        deadlineSecs = cli::secondsValue("--deadline", v, true);
+      } else if ((v = flagValue("--heartbeat-timeout", argv, argc, &i)) !=
+                 nullptr) {
+        heartbeatSecs = cli::secondsValue("--heartbeat-timeout", v, true);
+      } else if ((v = flagValue("--threads", argv, argc, &i)) != nullptr) {
+        flags.threads = static_cast<int>(cli::intValue("--threads", v, 0));
+      } else if ((v = flagValue("--fsync-every", argv, argc, &i)) != nullptr) {
+        fsyncEveryN = static_cast<int>(cli::intValue("--fsync-every", v, 1));
+      } else if ((v = flagValue("--progress", argv, argc, &i)) != nullptr) {
+        progressSecs = cli::secondsValue("--progress", v);
+        progressArg = v;
+      } else if ((v = flagValue("--timeout", argv, argc, &i)) != nullptr) {
+        flags.timeoutSecs = cli::secondsValue("--timeout", v);
+      } else if ((v = flagValue("--inject", argv, argc, &i)) != nullptr) {
+        injects = parseInject(v);
+      } else if ((v = flagValue("--worker-corner", argv, argc, &i)) !=
+                 nullptr) {
+        workerArg = v;
+      } else if ((v = flagValue("--crash-at", argv, argc, &i)) != nullptr) {
+        crashAt = cli::intValue("--crash-at", v, 0, LLONG_MAX);
+      } else if (std::strcmp(argv[i], "--fault-hang") == 0) {
+        faultHang = true;
+      } else if (std::strcmp(argv[i], "--fault-corrupt") == 0) {
+        faultCorrupt = true;
+      } else if (std::strcmp(argv[i], "--resume") == 0) {
+        resume = true;
+      } else if (std::strcmp(argv[i], "--quick") == 0) {
+        quick = true;
+      } else if (std::strcmp(argv[i], "--quiet") == 0) {
+        quiet = true;
+      } else {
+        throw cli::unknownFlag(argv[i]);
+      }
     }
+    if (!workerArg.empty() && !decodeCorner(workerArg, &workerCorner)) {
+      throw cli::UsageError("bad --worker-corner encoding");
+    }
+  } catch (const cli::UsageError& e) {
+    return cli::usageError(argv[0], kUsage, e.what());
   }
-
   if (workdir.empty()) workdir = outPath + ".work";
   if (reportPath.empty()) reportPath = outPath + ".fleet.json";
 
-  // Worker mode: this process IS one shard.
-  if (!workerCorner.empty()) {
-    cells::Corner corner;
-    if (!decodeCorner(workerCorner, &corner)) {
-      std::fprintf(stderr, "%s: bad --worker-corner encoding\n", argv[0]);
-      return 2;
-    }
-    try {
-      return runWorker(corner, workdir, quick, threads, fsyncEveryN, resume,
-                       progressSecs, timeoutSecs, crashAt, faultHang,
-                       faultCorrupt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 1;
-    }
+  cli::RunScope scope(argv[0], flags);
+  if (!workerArg.empty()) {
+    return scope.run([&] {
+      return runWorker(workerCorner, workdir, quick, flags.threads,
+                       fsyncEveryN, resume, progressSecs, crashAt, faultHang,
+                       faultCorrupt, scope.cancel());
+    });
   }
 
   // Supervisor mode.
-  std::vector<InjectSpec> injects;
-  if (!injectText.empty() && !parseInject(injectText, &injects)) {
-    std::fprintf(stderr, "%s: bad --inject spec \"%s\"\n", argv[0],
-                 injectText.c_str());
-    return 2;
-  }
-
-  support::CancelToken cancelToken;
-  if (timeoutSecs > 0.0) cancelToken.setTimeout(timeoutSecs);
-  support::SignalCancelScope signalScope(&cancelToken);
-
-  try {
+  return scope.run([&] {
     const std::vector<cells::Corner> corners =
         cornersPath.empty() ? cells::defaultCorners()
                             : cells::loadCornersFile(cornersPath);
 
     if (::mkdir(workdir.c_str(), 0755) != 0 && errno != EEXIST) {
-      std::fprintf(stderr, "%s: cannot create workdir %s\n", argv[0],
-                   workdir.c_str());
-      return 1;
+      throw std::runtime_error("cannot create workdir " + workdir);
     }
 
     // Fleet-level resume: a corner whose artifact already loads cleanly is
@@ -466,14 +426,13 @@ int main(int argc, char** argv) {
       spec.command = [=, &injects](int attempt) {
         std::vector<std::string> cmd{
             self, "--worker-corner=" + encodeCorner(corner),
-            "--workdir=" + workdir, "--threads=" + std::to_string(threads)};
+            "--workdir=" + workdir,
+            "--threads=" + std::to_string(flags.threads)};
         if (quick) cmd.push_back("--quick");
         if (fsyncEveryN >= 1) {
           cmd.push_back("--fsync-every=" + std::to_string(fsyncEveryN));
         }
-        if (progressSecs > 0.0) {
-          cmd.push_back("--progress=" + std::to_string(progressSecs));
-        }
+        if (!progressArg.empty()) cmd.push_back("--progress=" + progressArg);
         // Any attempt after the first -- and the first attempt over a prior
         // run's journal -- replays instead of restarting.
         if (attempt > 0 || hasJournal) cmd.push_back("--resume");
@@ -498,7 +457,7 @@ int main(int argc, char** argv) {
     options.backoffBaseSeconds = retryBackoff;
     options.shardDeadlineSeconds = deadlineSecs;
     options.heartbeatTimeoutSeconds = heartbeatSecs;
-    options.cancel = &cancelToken;
+    options.cancel = scope.cancel();
     options.echoWorkerOutput = !quiet;
 
     if (!quiet) {
@@ -580,29 +539,6 @@ int main(int argc, char** argv) {
                   quarantined, reportPath.c_str());
     }
 
-    if (!statsPath.empty()) {
-      support::writeFileAtomic(statsPath,
-                               [](std::ostream& os) { obs::writeJson(os); });
-    }
     return quarantined == 0 && report.allDone() ? 0 : 1;
-  } catch (const support::DiagnosticError& e) {
-    std::fprintf(stderr, "%s\n", e.diagnostic().toString().c_str());
-    if (!statsPath.empty()) {
-      try {
-        support::writeFileAtomic(statsPath,
-                                 [](std::ostream& os) { obs::writeJson(os); });
-      } catch (const std::exception&) {
-      }
-    }
-    const support::StatusCode code = e.code();
-    if (code == support::StatusCode::Cancelled ||
-        code == support::StatusCode::DeadlineExceeded) {
-      return 6;
-    }
-    if (code == support::StatusCode::ResourceExhausted) return 7;
-    return 1;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 1;
-  }
+  });
 }

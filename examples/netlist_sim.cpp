@@ -6,45 +6,44 @@
 //
 // With --stats the example additionally pushes a coarsely characterized
 // NAND2 through a three-stage STA netlist so the run exercises every layer
-// of the stack, then dumps the observability registry as JSON (to stdout,
-// or to the file given as --stats=FILE): Newton iterations, transient step
-// accounting, proximity-window statistics, characterization table points,
-// and STA arc evaluations in one machine-readable report.
+// of the stack, then dumps the observability registry as JSON (to the file
+// given as --stats=FILE, or to stdout with --stats=-): Newton iterations,
+// transient step accounting, proximity-window statistics, characterization
+// table points, and STA arc evaluations in one machine-readable report.
 //
 // With --strict the full-stack stage additionally treats every absorbed
 // fault -- characterization points that had to be healed, STA arcs that fell
 // back to a degraded delay model -- as a hard error: each event is printed
 // to stderr and the process exits non-zero, with the exit code encoding the
 // worst severity seen (3 = warning-level events promoted, 4 = error,
-// 5 = fatal).
+// 5 = fatal).  The other flags and exit codes follow the tools' shared
+// contract (cli.hpp; README "Exit codes").
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "characterize/characterize.hpp"
-#include "cli_flags.hpp"
+#include "cli.hpp"
 #include "fleet/bundle.hpp"
-#include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "spice/netlist.hpp"
 #include "spice/tran.hpp"
 #include "sta/timing_graph.hpp"
-#include "support/budget.hpp"
-#include "support/cancel.hpp"
 #include "support/diagnostic.hpp"
-#include "support/durable_io.hpp"
 #include "waveform/measure.hpp"
 
 using namespace prox;
 using cli::flagValue;
 
 namespace {
+
+constexpr const char* kUsage =
+    "usage: %s [--stats=FILE|-] [--trace=FILE] [--strict] [--threads N] "
+    "[--timeout=SECS] [--max-memory=MB] [--max-nodes=N]\n"
+    "       [--bundle=FILE] [--corner=NAME] "
+    "[--corner-policy=reject|degrade]\n";
 
 // The Figure 1-1 NAND3 with a parameterized separation between a and b.
 std::string nand3Deck(double sepPs) {
@@ -203,122 +202,42 @@ int runFullStackStage(bool strict, int threads, support::CancelToken* cancel,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool stats = false;
+  cli::RunFlags flags;
   bool strict = false;
-  std::string statsPath;
-  std::string tracePath;
   std::string bundlePath;
   std::string cornerName = "tt";
   fleet::MissingCornerPolicy cornerPolicy = fleet::MissingCornerPolicy::Reject;
-  int threads = 0;  // 0 = par::defaultThreadCount() (PROX_THREADS or cores)
-  double timeoutSecs = 0.0;
-  support::ResourceBudget budget;
-  for (int i = 1; i < argc; ++i) {
-    const char* v = nullptr;
-    if (std::strcmp(argv[i], "--stats") == 0) {
-      stats = true;
-    } else if (std::strncmp(argv[i], "--stats=", 8) == 0) {
-      stats = true;
-      statsPath = argv[i] + 8;
-      if (statsPath.empty()) {
-        std::fprintf(stderr, "%s: --stats= requires a file name\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      tracePath = argv[i] + 8;
-      if (tracePath.empty()) {
-        std::fprintf(stderr, "%s: --trace= requires a file name\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else if (std::strncmp(argv[i], "--bundle=", 9) == 0) {
-      bundlePath = argv[i] + 9;
-      if (bundlePath.empty()) {
-        std::fprintf(stderr, "%s: --bundle= requires a file name\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--corner=", 9) == 0) {
-      cornerName = argv[i] + 9;
-      if (cornerName.empty()) {
-        std::fprintf(stderr, "%s: --corner= requires a corner name\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--corner-policy=", 16) == 0) {
-      const std::string v = argv[i] + 16;
-      if (v == "reject") {
-        cornerPolicy = fleet::MissingCornerPolicy::Reject;
-      } else if (v == "degrade") {
-        cornerPolicy = fleet::MissingCornerPolicy::Degrade;
-      } else {
-        std::fprintf(stderr, "%s: --corner-policy expects reject|degrade\n",
-                     argv[0]);
-        return 2;
-      }
-    } else if ((v = flagValue("--threads", argv, argc, &i)) != nullptr) {
-      threads = std::atoi(v);
-    } else if (std::strncmp(argv[i], "--timeout=", 10) == 0) {
-      timeoutSecs = std::atof(argv[i] + 10);
-      if (timeoutSecs <= 0.0) {
-        std::fprintf(stderr, "%s: --timeout expects SECS > 0\n", argv[0]);
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--max-memory=", 13) == 0) {
-      const long mb = std::atol(argv[i] + 13);
-      if (mb <= 0) {
-        std::fprintf(stderr, "%s: --max-memory expects MB > 0\n", argv[0]);
-        return 2;
-      }
-      budget.maxRssBytes = static_cast<std::size_t>(mb) << 20;
-    } else if (std::strncmp(argv[i], "--max-nodes=", 12) == 0) {
-      const long n = std::atol(argv[i] + 12);
-      if (n <= 0) {
-        std::fprintf(stderr, "%s: --max-nodes expects N > 0\n", argv[0]);
-        return 2;
-      }
-      budget.maxNodes = static_cast<std::size_t>(n);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--stats[=FILE]] [--trace=FILE] [--strict] "
-                   "[--threads N] [--timeout=SECS] [--max-memory=MB] "
-                   "[--max-nodes=N]\n"
-                   "       [--bundle=FILE] [--corner=NAME] "
-                   "[--corner-policy=reject|degrade]\n",
-                   argv[0]);
-      return 2;
-    }
-    if (threads < 0) {
-      std::fprintf(stderr, "%s: --threads expects N >= 0\n", argv[0]);
-      return 2;
-    }
-  }
-
-  // Ctrl-C / SIGTERM / the --timeout watchdog unwind through the engine's
-  // typed cancellation path instead of killing the process mid-write.
-  support::CancelToken cancelToken;
-  if (timeoutSecs > 0.0) cancelToken.setTimeout(timeoutSecs);
-  support::SignalCancelScope signalScope(&cancelToken);
-  support::CancelScope mainScope(&cancelToken);
-
-  // Resource governance: node/memory ceilings turn runaway decks into a
-  // typed failure with exit code 7 (see support/budget.hpp).
-  budget.cancel = &cancelToken;
-  support::BudgetTracker budgetTracker(budget);
-  support::BudgetScope budgetScope(&budgetTracker);
-
-  std::unique_ptr<obs::trace::TraceSession> traceSession;
-  if (!tracePath.empty()) {
-    traceSession = std::make_unique<obs::trace::TraceSession>();
-  }
-
-  std::printf("deck-driven proximity measurement (NAND3, a falls 500 ps, "
-              "b falls 100 ps)\n\n");
-  // Thresholds from the paper's Section 2 rule for this cell (precomputed by
-  // bench_fig2_1; hard-coded here to keep the example self-contained).
-  const wave::Thresholds th{1.720, 3.681};
-
-  int rc = 0;
   try {
+    for (int i = 1; i < argc; ++i) {
+      if (flags.parse(argv, argc, &i)) continue;
+      const char* v = nullptr;
+      if (std::strcmp(argv[i], "--strict") == 0) {
+        strict = true;
+      } else if ((v = flagValue("--bundle", argv, argc, &i)) != nullptr) {
+        bundlePath = cli::nonEmpty("--bundle", v);
+      } else if ((v = flagValue("--corner", argv, argc, &i)) != nullptr) {
+        cornerName = cli::nonEmpty("--corner", v);
+      } else if ((v = flagValue("--corner-policy", argv, argc, &i)) !=
+                 nullptr) {
+        cornerPolicy =
+            cli::choice("--corner-policy", v, "reject|degrade") == "degrade"
+                ? fleet::MissingCornerPolicy::Degrade
+                : fleet::MissingCornerPolicy::Reject;
+      } else {
+        throw cli::unknownFlag(argv[i]);
+      }
+    }
+  } catch (const cli::UsageError& e) {
+    return cli::usageError(argv[0], kUsage, e.what());
+  }
+
+  cli::RunScope scope(argv[0], flags);
+  return scope.run([&] {
+    std::printf("deck-driven proximity measurement (NAND3, a falls 500 ps, "
+                "b falls 100 ps)\n\n");
+    // Thresholds from the paper's Section 2 rule for this cell (precomputed
+    // by bench_fig2_1; hard-coded here to keep the example self-contained).
+    const wave::Thresholds th{1.720, 3.681};
     std::printf("%12s %16s %14s\n", "s_ab [ps]", "out crossing [ps]",
                 "rise time [ps]");
     for (double sep : {-400.0, -200.0, 0.0, 200.0, 400.0}) {
@@ -336,60 +255,8 @@ int main(int argc, char** argv) {
                 "paths: the output\ncrossing moves earlier and the rise "
                 "sharpens -- Figure 1-2(a,b) straight from\na SPICE deck.\n");
 
-    if (stats || strict || !bundlePath.empty()) {
-      rc = runFullStackStage(strict, threads, &cancelToken, bundlePath,
-                             cornerName, cornerPolicy);
-    }
-  } catch (const support::DiagnosticError& e) {
-    std::fprintf(stderr, "%s\n", e.diagnostic().toString().c_str());
-    // Best-effort stats on the unwind path so budget post-mortems (the
-    // support.budget.* counters) are visible in the report.
-    if (stats && !statsPath.empty()) {
-      try {
-        support::writeFileAtomic(statsPath,
-                                 [](std::ostream& os) { obs::writeJson(os); });
-        std::printf("stats report written to %s\n", statsPath.c_str());
-      } catch (const std::exception&) {
-      }
-    }
-    if (e.code() == support::StatusCode::Cancelled ||
-        e.code() == support::StatusCode::DeadlineExceeded) {
-      return 6;
-    }
-    if (e.code() == support::StatusCode::ResourceExhausted) return 7;
-    if (e.code() == support::StatusCode::StructuralError) return 8;
-    return 1;
-  }
-  if (stats) {
-    if (statsPath.empty()) {
-      std::printf("\n");
-      obs::writeJson(std::cout);
-    } else {
-      try {
-        // Atomic commit: a stats consumer polling the file never reads a
-        // torn JSON document, and a crash mid-dump leaves any previous
-        // report intact.
-        support::writeFileAtomic(statsPath,
-                                 [](std::ostream& os) { obs::writeJson(os); });
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-        return 1;
-      }
-      std::printf("\nstats report written to %s\n", statsPath.c_str());
-    }
-  }
-  if (traceSession != nullptr) {
-    try {
-      support::writeFileAtomic(tracePath, [&](std::ostream& os) {
-        traceSession->exportJson(os);
-      });
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 1;
-    }
-    std::printf("trace written to %s (open in ui.perfetto.dev or "
-                "chrome://tracing)\n",
-                tracePath.c_str());
-  }
-  return rc;
+    if (flags.statsPath.empty() && !strict && bundlePath.empty()) return 0;
+    return runFullStackStage(strict, flags.threads, scope.cancel(),
+                             bundlePath, cornerName, cornerPolicy);
+  });
 }

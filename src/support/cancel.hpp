@@ -43,15 +43,26 @@ class CancelToken {
     cancelled_.store(true, std::memory_order_release);
   }
 
-  /// Arms the deadline watchdog @p seconds from now.  seconds <= 0 cancels
-  /// immediately.  Not async-signal-safe (reads the clock); call from
-  /// ordinary code before the work starts.
+  /// Arms the deadline watchdog @p seconds from now.  seconds <= 0 (or NaN)
+  /// trips at the first poll; a timeout beyond the clock's range (about 292
+  /// years of nanoseconds) saturates to no deadline.  Not async-signal-safe
+  /// (reads the clock); call from ordinary code before the work starts.
   void setTimeout(double seconds) noexcept {
-    const auto now = std::chrono::steady_clock::now().time_since_epoch();
-    const auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now).count() +
-        static_cast<std::int64_t>(seconds * 1e9);
-    deadlineNs_.store(ns, std::memory_order_relaxed);
+    const std::int64_t now =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    // A double below 9e18 converts to int64 in range, and the sum is then
+    // checked in integers, so neither the conversion nor the addition can
+    // overflow.
+    const double ns = seconds * 1e9;
+    std::int64_t deadline = now;
+    if (ns > 0.0) {
+      const std::int64_t add =
+          ns < 9e18 ? static_cast<std::int64_t>(ns) : kNoDeadline;
+      deadline = add < kNoDeadline - now ? now + add : kNoDeadline;
+    }
+    deadlineNs_.store(deadline, std::memory_order_relaxed);
   }
 
   /// True once cancel() was called or the deadline passed.  The deadline

@@ -371,9 +371,14 @@ TEST(CancelTokenTest, ExpiredDeadlineLatchesAsDeadlineExceeded) {
 }
 
 TEST(CancelTokenTest, FutureDeadlineDoesNotTripEarly) {
-  CancelToken token;
-  token.setTimeout(3600.0);
-  EXPECT_FALSE(token.cancelRequested());
+  // From 1e10 s on the deadline lies past the clock's range and saturates
+  // to none instead of wrapping into the past.
+  for (const double seconds : {3600.0, 1e10, 1e300,
+                               std::numeric_limits<double>::infinity()}) {
+    CancelToken token;
+    token.setTimeout(seconds);
+    EXPECT_FALSE(token.cancelRequested()) << seconds;
+  }
 }
 
 TEST(CancelTokenTest, ThrowIfCancelledCarriesTypedDiagnostic) {
