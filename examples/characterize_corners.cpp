@@ -13,8 +13,8 @@
 // with exponential backoff and --resume, and lands in quarantine after
 // --max-retries failures.  Quarantined corners are recorded -- with exit
 // code and last diagnostic -- in the fleet report JSON and as explicit
-// holes in the bundle manifest, which sta_path / netlist_sim then serve
-// under an explicit degrade-or-reject policy.
+// holes in the bundle manifest, which sta_path then serves under an
+// explicit degrade-or-reject policy.
 //
 // --inject drives the failure ladder deterministically for tests/CI:
 //   --inject=crash@1      shard 1's first attempt dies by SIGKILL mid-sweep
@@ -61,34 +61,14 @@ constexpr const char* kUsage =
     "          [--inject SPEC[,SPEC...]] [--stats FILE|-] [--quiet]\n"
     "  SPEC: (crash|hang|corrupt)@SHARD[*COUNT]\n";
 
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool parseHex64(const std::string& s, std::uint64_t* out) {
-  if (s.size() != 16) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else return false;
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  *out = v;
-  return true;
-}
-
 /// Worker-facing corner encoding: exact double bit patterns, so the worker
 /// fingerprints precisely the technology the supervisor intended.
 std::string encodeCorner(const cells::Corner& c) {
-  return c.name + ':' + hex64(support::doubleToBits(c.vddScale)) + ':' +
-         hex64(support::doubleToBits(c.vtShift)) + ':' +
-         hex64(support::doubleToBits(c.kpScale)) + ':' +
-         hex64(support::doubleToBits(c.gammaScale));
+  const auto bits = [](double v) {
+    return ':' + support::hex64(support::doubleToBits(v));
+  };
+  return c.name + bits(c.vddScale) + bits(c.vtShift) + bits(c.kpScale) +
+         bits(c.gammaScale);
 }
 
 bool decodeCorner(const std::string& s, cells::Corner* out) {
@@ -103,10 +83,12 @@ bool decodeCorner(const std::string& s, cells::Corner* out) {
     parts.push_back(s.substr(start, colon - start));
     start = colon + 1;
   }
+  const auto bits = [](const std::string& hex, std::uint64_t* out) {
+    return hex.size() == 16 && support::parseHex(hex, out);
+  };
   std::uint64_t vdd, vt, kp, gamma;
-  if (parts.size() != 5 || parts[0].empty() || !parseHex64(parts[1], &vdd) ||
-      !parseHex64(parts[2], &vt) || !parseHex64(parts[3], &kp) ||
-      !parseHex64(parts[4], &gamma)) {
+  if (parts.size() != 5 || parts[0].empty() || !bits(parts[1], &vdd) ||
+      !bits(parts[2], &vt) || !bits(parts[3], &kp) || !bits(parts[4], &gamma)) {
     return false;
   }
   out->name = parts[0];

@@ -157,6 +157,18 @@ inline int exitCode(support::StatusCode code) {
   }
 }
 
+/// The --strict exit code of the worst fault a run absorbed: 0 none, 3 a
+/// warning (a healed point, a degraded arc), 4 an error, 5 a fatal state.
+inline int severityExitCode(support::Severity worst) {
+  switch (worst) {
+    case support::Severity::Info: return 0;
+    case support::Severity::Warning: return 3;
+    case support::Severity::Error: return 4;
+    case support::Severity::Fatal: return 5;
+  }
+  return 4;
+}
+
 /// One tool run.  For the scope's lifetime the cancel token is armed with
 /// --timeout, receives SIGINT/SIGTERM and is installed on the main thread
 /// (so serial engine loops poll what parallel workers get through their

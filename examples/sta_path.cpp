@@ -2,24 +2,36 @@
 // block, judged against a flat transistor-level simulation of the whole
 // netlist -- the downstream application the paper motivates.
 //
-// Circuit (all NAND2; s1/s2 are stable side inputs):
+// Circuit (one cell type; s1 is a stable side input):
 //
 //   a ---+
 //        |u1>--- y1 ---+
 //   b ---+             |u2>--- y2 ---+
-//   s1 ----------------+             |u3>--- out
+//   s1 ----------------+             |u3>--- y3
 //   c -------------------------------+
 //
 // Inputs arrive in a tight burst, so gates see multiple switching inputs in
 // close temporal proximity; classic pin-to-pin STA mis-times the stages.
 //
-// The tool doubles as the structural-validation demo: --graph builds a
-// deliberately defective variant (cyclic, multidriven, dangling, selfloop)
-// and --structural selects the degradation ladder.  Flags and exit codes
-// follow the tools' shared contract (cli.hpp; README "Exit codes").
+// The cell is a NAND2 characterized in process, or the --corner of a
+// fleet-assembled bundle (--bundle); a wider cell takes its extra pins from
+// stable pad inputs.  The tool doubles as the structural-validation demo:
+// --graph builds a deliberately defective variant (cyclic, multidriven,
+// dangling, selfloop) and --structural selects the degradation ladder.
+// --blif times a BLIF netlist instead and prints its critical path.
+//
+// With --strict every fault the run absorbed -- a characterization point
+// that had to be healed, an arc that fell back to a degraded delay model --
+// is printed to stderr and sets the exit code (cli::severityExitCode).  The
+// other flags and exit codes follow the tools' shared contract (cli.hpp;
+// README "Exit codes").
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "characterize/characterize.hpp"
 #include "cli.hpp"
@@ -43,37 +55,81 @@ constexpr const char* kUsage =
     "[--structural=reject|degrade]\n"
     "       [--blif=FILE|-] [--lib=analytic|characterized]\n"
     "       [--bundle=FILE] [--corner=NAME] "
-    "[--corner-policy=reject|degrade]\n";
+    "[--corner-policy=reject|degrade] [--strict]\n";
+
+using Arrivals = std::unordered_map<std::string, Arrival>;
+
+/// One run: its flags, and what it absorbed for --strict.
+struct Run {
+  cli::RunFlags flags;
+  support::CancelToken* cancel = nullptr;
+  std::string graph = "clean";
+  sta::StructuralPolicy structural = sta::StructuralPolicy::Reject;
+  std::string blifPath;
+  std::string libKind = "analytic";
+  std::string bundlePath;
+  std::string cornerName = "tt";
+  fleet::MissingCornerPolicy cornerPolicy = fleet::MissingCornerPolicy::Reject;
+  bool strict = false;
+  /// Faults healed in the cells this run characterized.
+  support::DiagnosticLog absorbed;
+  /// Arcs that fell back to a degraded delay model, over every analysis.
+  std::size_t degradedArcs = 0;
+};
+
+/// Characterizes one cell at the default grid; its healed faults count
+/// toward --strict.
+characterize::CharacterizedGate characterizeCell(Run& run,
+                                                 cells::GateType type,
+                                                 int fanin) {
+  cells::CellSpec spec;
+  spec.type = type;
+  spec.fanin = fanin;
+  characterize::CharacterizationConfig cfg;
+  cfg.threads = run.flags.threads;
+  cfg.cancel = run.cancel;
+  characterize::CharacterizedGate cell =
+      characterize::characterizeGate(spec, cfg);
+  for (const auto& d : cell.diagnostics.entries()) run.absorbed.record(d);
+  return cell;
+}
+
+/// One analysis of @p nl; its degraded arcs count toward --strict.
+sta::TimingAnalyzer analyze(Run& run, const sta::Netlist& nl, DelayMode mode,
+                            const Arrivals& arrivals) {
+  sta::DelayCalcOptions opt;
+  opt.threads = run.flags.threads;
+  opt.cancel = run.cancel;
+  opt.structural = run.structural;
+  sta::TimingAnalyzer ta(nl, mode, opt);
+  for (const auto& [net, arr] : arrivals) ta.setInputArrival(net, arr);
+  ta.run();
+  run.degradedArcs += ta.degradedArcs();
+  return ta;
+}
 
 /// BLIF mode: reads a circuit (file or "-" = stdin), runs proximity and
 /// classic STA with a uniform input stimulus, and prints the critical path.
-void runBlifFlow(const std::string& path, const std::string& libKind,
-                 int threads, support::CancelToken* cancel,
-                 sta::StructuralPolicy structural) {
+void runBlifFlow(Run& run) {
   sta::GateLibrary library = sta::analyticLibrary();
-  if (libKind == "characterized") {
+  if (run.libKind == "characterized") {
     // Transistor-level characterization per (type, fanin) the input demands.
     // Slow but real; the analytic default answers instantly at any scale.
-    library.setFactory([threads, cancel](cells::GateType type, int fanin)
+    library.setFactory([&run](cells::GateType type, int fanin)
                            -> std::optional<characterize::CharacterizedGate> {
       const bool inverter = type == cells::GateType::Inverter;
       if (fanin < 1 || fanin > 8 || inverter != (fanin == 1)) {
         return std::nullopt;
       }
-      cells::CellSpec spec;
-      spec.type = type;
-      spec.fanin = fanin;
       std::printf("characterizing %s ...\n",
                   cells::gateTypeName(type, fanin).c_str());
-      characterize::CharacterizationConfig cfg;
-      cfg.threads = threads;
-      cfg.cancel = cancel;
-      return characterize::characterizeGate(spec, cfg);
+      return characterizeCell(run, type, fanin);
     });
   }
 
   sta::Netlist nl;
-  const sta::BlifSummary summary = sta::readBlifFile(path, library, &nl);
+  const sta::BlifSummary summary =
+      sta::readBlifFile(run.blifPath, library, &nl);
   std::printf("model '%s': %zu gates, %zu inputs, %zu outputs",
               summary.modelName.c_str(), summary.gates, summary.inputs.size(),
               summary.outputs.size());
@@ -81,23 +137,14 @@ void runBlifFlow(const std::string& path, const std::string& libKind,
   if (summary.constants != 0) std::printf(", %zu constants", summary.constants);
   std::printf("\n");
 
-  sta::DelayCalcOptions opt;
-  opt.threads = threads;
-  opt.cancel = cancel;
-  opt.structural = structural;
-  auto analyze = [&](DelayMode mode) {
-    sta::TimingAnalyzer ta(nl, mode, opt);
-    for (const std::string& net : summary.inputs) {
-      ta.setInputArrival(net, Arrival{0.0, 200e-12, Edge::Rising});
-    }
-    ta.run();
-    return ta;
-  };
-  const auto proximity = analyze(DelayMode::Proximity);
-  const auto classic = analyze(DelayMode::Classic);
+  Arrivals arrivals;
+  for (const std::string& net : summary.inputs) {
+    arrivals.emplace(net, Arrival{0.0, 200e-12, Edge::Rising});
+  }
+  const auto proximity = analyze(run, nl, DelayMode::Proximity, arrivals);
+  const auto classic = analyze(run, nl, DelayMode::Classic, arrivals);
 
-  const auto schedule = nl.levelize(structural);
-  std::printf("%zu levels deep", schedule.levelCount());
+  std::printf("%zu levels deep", proximity.levelCount());
   if (proximity.degradedArcs() != 0) {
     std::printf(", %zu degraded arc(s)", proximity.degradedArcs());
   }
@@ -167,152 +214,54 @@ void runBlifFlow(const std::string& path, const std::string& libKind,
   std::printf("\n");
 }
 
-/// Bundle mode: serve a model from a fleet-assembled multi-corner bundle
-/// (see fleet/bundle.hpp) and time the three-stage demo chain with it.  The
-/// interesting part is the hole handling: a corner the fleet quarantined is
-/// served under an explicit policy -- reject (exit 8) or degrade to the
-/// nearest characterized corner with a counted, logged substitution --
-/// mirroring the --structural ladder.
-void runBundleFlow(const std::string& bundlePath, const std::string& cornerName,
-                   fleet::MissingCornerPolicy policy, int threads,
-                   support::CancelToken* cancel) {
-  const fleet::Bundle bundle = fleet::loadBundleFile(bundlePath);
-  std::printf("bundle %s: %zu corner(s), %zu characterized\n",
-              bundlePath.c_str(), bundle.entries.size(), bundle.okCount());
-  for (const fleet::BundleEntry& e : bundle.entries) {
-    std::printf("  %-12s %-11s%s%s\n", e.corner.name.c_str(),
-                fleet::bundleCornerStatusName(e.status),
-                e.reason.empty() ? "" : "  ", e.reason.c_str());
-  }
-
-  support::DiagnosticLog degradeLog;
-  const fleet::CornerSelection sel =
-      fleet::selectCorner(bundle, cornerName, policy, &degradeLog);
-  if (sel.degraded) {
-    std::printf("corner '%s' has no model; degraded to nearest characterized "
-                "corner '%s' (see fleet.bundle.nearest_fallbacks in --stats)\n",
-                sel.requested.c_str(), sel.entry->corner.name.c_str());
-    for (const auto& d : degradeLog.entries()) {
-      std::printf("  %s\n", d.toString().c_str());
-    }
-  } else {
-    std::printf("serving corner '%s'\n", sel.entry->corner.name.c_str());
-  }
-  const characterize::CharacterizedGate& cell = *sel.entry->gate;
-  const int fanin = cell.pinCount();
-
-  // The familiar three-stage chain, sized to the bundle cell's fanin: extra
-  // pins ride on stable pad inputs, exactly like s1 in the demo circuit.
+/// The circuit above on @p cell, or its --graph variant: each variant
+/// rewires one connection.  Pins past the second ride on stable pad inputs
+/// p0, p1, ..., like s1.
+sta::Netlist buildChain(const characterize::CharacterizedGate& cell,
+                        const std::string& graph) {
   sta::Netlist nl;
   for (const char* pi : {"a", "b", "c", "s1"}) nl.addPrimaryInput(pi);
   std::vector<std::string> pads;
-  for (int p = 0; p + 2 < fanin; ++p) {
-    pads.push_back("p" + std::to_string(p));
+  for (int p = 2; p < cell.pinCount(); ++p) {
+    pads.push_back("p" + std::to_string(p - 2));
     nl.addPrimaryInput(pads.back());
   }
-  auto stageInputs = [&](const std::string& first, const std::string& second) {
-    std::vector<std::string> v{first};
-    if (fanin >= 2) v.push_back(second);
-    for (const std::string& pad : pads) v.push_back(pad);
-    return v;
+  const auto pins = [&](const char* first, const char* second) {
+    std::vector<std::string> in{first};
+    if (cell.pinCount() >= 2) in.push_back(second);
+    in.insert(in.end(), pads.begin(), pads.end());
+    return in;
   };
-  nl.addInstance("u1", cell, stageInputs("a", "b"), "y1");
-  nl.addInstance("u2", cell, stageInputs("y1", "s1"), "y2");
-  nl.addInstance("u3", cell, stageInputs("y2", "c"), "y3");
-
-  sta::DelayCalcOptions opt;
-  opt.threads = threads;
-  opt.cancel = cancel;
-  auto analyze = [&](DelayMode mode) {
-    sta::TimingAnalyzer ta(nl, mode, opt);
-    ta.setInputArrival("a", {0.0, 250e-12, Edge::Rising});
-    ta.setInputArrival("b", {40e-12, 400e-12, Edge::Rising});
-    ta.setInputArrival("c", {600e-12, 300e-12, Edge::Rising});
-    ta.run();
-    return ta;
-  };
-  const auto proximity = analyze(DelayMode::Proximity);
-  const auto classic = analyze(DelayMode::Classic);
-  std::printf("\n%-5s | %16s | %16s\n", "net", "proximity [ps]", "classic [ps]");
-  for (const char* net : {"y1", "y2", "y3"}) {
-    const auto p = proximity.arrival(net);
-    const auto cl = classic.arrival(net);
-    if (!p || !cl) continue;
-    std::printf("%-5s | %16.1f | %16.1f\n", net, p->time * 1e12,
-                cl->time * 1e12);
-  }
-  if (proximity.degradedArcs() + classic.degradedArcs() > 0) {
-    std::printf("note: %zu arc(s) used a degraded delay model\n",
-                proximity.degradedArcs() + classic.degradedArcs());
-  }
-}
-
-/// Demo mode: characterize a NAND2 and time the three-stage circuit above
-/// (or a deliberately defective variant of it, per --graph) against the flat
-/// transistor-level reference simulation.
-void runDemoFlow(const std::string& graph, sta::StructuralPolicy structural,
-                 int threads, support::CancelToken* cancel) {
-  cells::CellSpec spec;
-  spec.type = cells::GateType::Nand;
-  spec.fanin = 2;
-  std::printf("characterizing NAND2 cell ...\n");
-  characterize::CharacterizationConfig cfg;
-  cfg.threads = threads;
-  cfg.cancel = cancel;
-  const auto cell = characterize::characterizeGate(spec, cfg);
-
-  sta::Netlist nl;
-  for (const char* pi : {"a", "b", "c", "s1"}) nl.addPrimaryInput(pi);
-  if (graph == "cyclic") {
-    // u1 consumes u3's output: u1 -> u2 -> u3 -> u1.
-    nl.addInstance("u1", cell, {"a", "y3"}, "y1");
-    nl.addInstance("u2", cell, {"y1", "s1"}, "y2");
-    nl.addInstance("u3", cell, {"y2", "c"}, "y3");
-  } else if (graph == "selfloop") {
-    nl.addInstance("u1", cell, {"a", "y1"}, "y1");
-    nl.addInstance("u2", cell, {"y1", "s1"}, "y2");
-    nl.addInstance("u3", cell, {"y2", "c"}, "y3");
-  } else if (graph == "dangling") {
-    nl.addInstance("u1", cell, {"a", "b"}, "y1");
-    nl.addInstance("u2", cell, {"y1", "floating"}, "y2");
-    nl.addInstance("u3", cell, {"y2", "c"}, "y3");
-  } else if (graph == "multidriven") {
-    nl.addInstance("u1", cell, {"a", "b"}, "y1");
-    nl.addInstance("u2", cell, {"y1", "s1"}, "y2");
+  const char* u1b = graph == "cyclic"     ? "y3"  // u1 -> u2 -> u3 -> u1
+                    : graph == "selfloop" ? "y1"
+                                          : "b";
+  nl.addInstance("u1", cell, pins("a", u1b), "y1");
+  nl.addInstance("u2", cell,
+                 pins("y1", graph == "dangling" ? "floating" : "s1"), "y2");
+  if (graph == "multidriven") {
     // Lenient construction: the conflicting driver is a property of the
     // (untrusted) input, recorded for validation rather than thrown.
-    nl.addInstanceLenient("u2b", cell, {"c", "s1"}, "y2");
-    nl.addInstance("u3", cell, {"y2", "c"}, "y3");
-  } else {
-    nl.addInstance("u1", cell, {"a", "b"}, "y1");
-    nl.addInstance("u2", cell, {"y1", "s1"}, "y2");
-    nl.addInstance("u3", cell, {"y2", "c"}, "y3");
+    nl.addInstanceLenient("u2b", cell, pins("c", "s1"), "y2");
   }
+  nl.addInstance("u3", cell, pins("y2", "c"), "y3");
+  return nl;
+}
 
-  const std::unordered_map<std::string, Arrival> arrivals{
+/// Times the chain on @p cell in both modes against the flat
+/// transistor-level simulation; a defective --graph reports what the
+/// structural ladder made of it instead.
+void timeChain(Run& run, const characterize::CharacterizedGate& cell) {
+  const sta::Netlist nl = buildChain(cell, run.graph);
+  const Arrivals arrivals{
       {"a", {0.0, 250e-12, Edge::Rising}},
       {"b", {40e-12, 400e-12, Edge::Rising}},
       {"c", {600e-12, 300e-12, Edge::Rising}},
   };
 
-  auto analyze = [&](DelayMode mode) {
-    sta::DelayCalcOptions opt;
-    opt.threads = threads;
-    opt.cancel = cancel;
-    opt.structural = structural;
-    sta::TimingAnalyzer ta(nl, mode, opt);
-    for (const auto& [net, arr] : arrivals) {
-      ta.setInputArrival(net, arr);
-    }
-    ta.run();
-    return ta;
-  };
-
-  if (graph != "clean") {
-    // Structural demo path: validate, then run under the selected policy.
+  if (run.graph != "clean") {
     std::printf("validating deliberately defective graph '%s' ...\n",
-                graph.c_str());
-    const auto proximity = analyze(DelayMode::Proximity);
+                run.graph.c_str());
+    const auto proximity = analyze(run, nl, DelayMode::Proximity, arrivals);
     for (const auto& issue : proximity.structuralIssues()) {
       std::printf("structural %s: %s\n", sta::structuralKindName(issue.kind),
                   issue.message.c_str());
@@ -326,74 +275,124 @@ void runDemoFlow(const std::string& graph, sta::StructuralPolicy structural,
       const auto p = proximity.arrival(net);
       if (p) std::printf("%-5s arrives at %.1f ps\n", net, p->time * 1e12);
     }
-  } else {
-    const auto classic = analyze(DelayMode::Classic);
-    const auto proximity = analyze(DelayMode::Proximity);
-    if (proximity.degradedArcs() + classic.degradedArcs() > 0) {
-      std::printf(
-          "note: %zu arc(s) used a degraded delay model (missing or "
-          "unusable tables); see sta.delay_calc.degraded_arcs in "
-          "--stats\n",
-          proximity.degradedArcs() + classic.degradedArcs());
-    }
-
-    std::printf(
-        "running the flat transistor-level reference simulation ...\n");
-    const auto flat = sta::simulateFlat(nl, arrivals);
-
-    std::printf("\n%-5s | %13s | %16s | %16s\n", "net", "flat sim [ps]",
-                "proximity [ps]", "classic [ps]");
-    for (const char* net : {"y1", "y2", "y3"}) {
-      const auto it = flat.arrivals.find(net);
-      const auto p = proximity.arrival(net);
-      const auto cl = classic.arrival(net);
-      if (it == flat.arrivals.end() || !p || !cl) continue;
-      const Arrival& f = it->second;
-      std::printf("%-5s | %13.1f | %8.1f (%+5.1f) | %8.1f (%+5.1f)\n", net,
-                  f.time * 1e12, p->time * 1e12, (p->time - f.time) * 1e12,
-                  cl->time * 1e12, (cl->time - f.time) * 1e12);
-    }
-    std::printf(
-        "\n(parenthesized: error vs the flat simulation; the proximity "
-        "mode stays closer\nat every stage, and the classic error "
-        "compounds along the path)\n");
+    return;
   }
+
+  const auto classic = analyze(run, nl, DelayMode::Classic, arrivals);
+  const auto proximity = analyze(run, nl, DelayMode::Proximity, arrivals);
+  if (proximity.degradedArcs() + classic.degradedArcs() > 0) {
+    std::printf(
+        "note: %zu arc(s) used a degraded delay model (missing or "
+        "unusable tables); see sta.delay_calc.degraded_arcs in "
+        "--stats\n",
+        proximity.degradedArcs() + classic.degradedArcs());
+  }
+
+  std::printf("running the flat transistor-level reference simulation ...\n");
+  const auto flat = sta::simulateFlat(nl, arrivals);
+
+  std::printf("\n%-5s | %13s | %16s | %16s\n", "net", "flat sim [ps]",
+              "proximity [ps]", "classic [ps]");
+  for (const char* net : {"y1", "y2", "y3"}) {
+    const auto it = flat.arrivals.find(net);
+    const auto p = proximity.arrival(net);
+    const auto cl = classic.arrival(net);
+    if (it == flat.arrivals.end() || !p || !cl) continue;
+    const Arrival& f = it->second;
+    std::printf("%-5s | %13.1f | %8.1f (%+5.1f) | %8.1f (%+5.1f)\n", net,
+                f.time * 1e12, p->time * 1e12, (p->time - f.time) * 1e12,
+                cl->time * 1e12, (cl->time - f.time) * 1e12);
+  }
+  std::printf("\n(parenthesized: each mode's arrival minus the flat "
+              "simulation's)\n");
+}
+
+/// Demo mode: the chain on a NAND2 characterized here, or on a model served
+/// from a fleet-assembled multi-corner bundle (fleet/bundle.hpp).  A corner
+/// the fleet quarantined is served under an explicit policy -- reject
+/// (exit 8) or degrade to the nearest characterized corner with a counted,
+/// logged substitution -- mirroring the --structural ladder.
+void runDemoFlow(Run& run) {
+  if (run.bundlePath.empty()) {
+    std::printf("characterizing NAND2 cell ...\n");
+    timeChain(run, characterizeCell(run, cells::GateType::Nand, 2));
+    return;
+  }
+  const fleet::Bundle bundle = fleet::loadBundleFile(run.bundlePath);
+  std::printf("bundle %s: %zu corner(s), %zu characterized\n",
+              run.bundlePath.c_str(), bundle.entries.size(), bundle.okCount());
+  for (const fleet::BundleEntry& e : bundle.entries) {
+    std::printf("  %-12s %-11s%s%s\n", e.corner.name.c_str(),
+                fleet::bundleCornerStatusName(e.status),
+                e.reason.empty() ? "" : "  ", e.reason.c_str());
+  }
+
+  support::DiagnosticLog degradeLog;
+  const fleet::CornerSelection sel = fleet::selectCorner(
+      bundle, run.cornerName, run.cornerPolicy, &degradeLog);
+  if (sel.degraded) {
+    std::printf("corner '%s' has no model; degraded to nearest characterized "
+                "corner '%s' (see fleet.bundle.nearest_fallbacks in --stats)\n",
+                sel.requested.c_str(), sel.entry->corner.name.c_str());
+    for (const auto& d : degradeLog.entries()) {
+      std::printf("  %s\n", d.toString().c_str());
+    }
+  } else {
+    std::printf("serving corner '%s'\n", sel.entry->corner.name.c_str());
+  }
+  timeChain(run, *sel.entry->gate);
+}
+
+/// --strict: prints every fault the run absorbed and returns the exit code
+/// of the worst; a degraded arc counts as a Warning.
+int strictExitCode(const Run& run) {
+  support::Severity worst = run.absorbed.worstSeverity();
+  if (!run.absorbed.empty()) {
+    std::fprintf(stderr, "--strict: characterization absorbed %zu fault(s):\n",
+                 run.absorbed.size());
+    for (const auto& d : run.absorbed.entries()) {
+      std::fprintf(stderr, "  %s\n", d.toString().c_str());
+    }
+  }
+  if (run.degradedArcs > 0) {
+    std::fprintf(stderr,
+                 "--strict: %zu STA arc(s) fell back to a degraded delay "
+                 "model\n",
+                 run.degradedArcs);
+    worst = std::max(worst, support::Severity::Warning);
+  }
+  return cli::severityExitCode(worst);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  cli::RunFlags flags;
-  std::string graph = "clean";
-  sta::StructuralPolicy structural = sta::StructuralPolicy::Reject;
-  std::string blifPath;
-  std::string libKind = "analytic";
-  std::string bundlePath;
-  std::string cornerName = "tt";
-  fleet::MissingCornerPolicy cornerPolicy = fleet::MissingCornerPolicy::Reject;
+  Run run;
   try {
     for (int i = 1; i < argc; ++i) {
-      if (flags.parse(argv, argc, &i)) continue;
+      if (run.flags.parse(argv, argc, &i)) continue;
       const char* v = nullptr;
-      if ((v = flagValue("--graph", argv, argc, &i)) != nullptr) {
-        graph = cli::choice("--graph", v,
-                            "clean|cyclic|multidriven|dangling|selfloop");
+      if (std::strcmp(argv[i], "--strict") == 0) {
+        run.strict = true;
+      } else if ((v = flagValue("--graph", argv, argc, &i)) != nullptr) {
+        run.graph = cli::choice("--graph", v,
+                                "clean|cyclic|multidriven|dangling|selfloop");
       } else if ((v = flagValue("--blif", argv, argc, &i)) != nullptr) {
-        blifPath = cli::nonEmpty("--blif", v);
+        run.blifPath = cli::nonEmpty("--blif", v);
       } else if ((v = flagValue("--bundle", argv, argc, &i)) != nullptr) {
-        bundlePath = cli::nonEmpty("--bundle", v);
+        run.bundlePath = cli::nonEmpty("--bundle", v);
       } else if ((v = flagValue("--corner", argv, argc, &i)) != nullptr) {
-        cornerName = cli::nonEmpty("--corner", v);
+        run.cornerName = cli::nonEmpty("--corner", v);
       } else if ((v = flagValue("--corner-policy", argv, argc, &i)) !=
                  nullptr) {
-        cornerPolicy =
+        run.cornerPolicy =
             cli::choice("--corner-policy", v, "reject|degrade") == "degrade"
                 ? fleet::MissingCornerPolicy::Degrade
                 : fleet::MissingCornerPolicy::Reject;
       } else if ((v = flagValue("--lib", argv, argc, &i)) != nullptr) {
-        libKind = cli::choice("--lib", v, "analytic|characterized");
+        run.libKind = cli::choice("--lib", v, "analytic|characterized");
       } else if ((v = flagValue("--structural", argv, argc, &i)) != nullptr) {
-        structural =
+        run.structural =
             cli::choice("--structural", v, "reject|degrade") == "degrade"
                 ? sta::StructuralPolicy::Degrade
                 : sta::StructuralPolicy::Reject;
@@ -405,17 +404,14 @@ int main(int argc, char** argv) {
     return cli::usageError(argv[0], kUsage, e.what());
   }
 
-  cli::RunScope scope(argv[0], flags);
+  cli::RunScope scope(argv[0], run.flags);
+  run.cancel = scope.cancel();
   return scope.run([&] {
-    if (!bundlePath.empty()) {
-      runBundleFlow(bundlePath, cornerName, cornerPolicy, flags.threads,
-                    scope.cancel());
-    } else if (!blifPath.empty()) {
-      runBlifFlow(blifPath, libKind, flags.threads, scope.cancel(),
-                  structural);
+    if (run.bundlePath.empty() && !run.blifPath.empty()) {
+      runBlifFlow(run);
     } else {
-      runDemoFlow(graph, structural, flags.threads, scope.cancel());
+      runDemoFlow(run);
     }
-    return 0;
+    return run.strict ? strictExitCode(run) : 0;
   });
 }

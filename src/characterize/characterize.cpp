@@ -321,12 +321,11 @@ void buildDualTables(model::GateSimulator& sim,
     }
   }
 
-  // One sweep point: retry per config, then leave a NaN hole for the healing
-  // pass below.  A failed oracle eval is never cached, so retries really
-  // re-run the transient (and any injected-fault window advances).  Failure
+  // One sweep point: one retry, then leave a NaN hole for the healing pass
+  // below.  A failed oracle eval is never cached, so the retry really re-runs
+  // the transient (and any injected-fault window advances).  Failure
   // diagnostics land in per-point slots and merge in enumeration order.
-  const int attempts =
-      config.healPointFailures ? 1 + std::max(config.pointRetries, 0) : 1;
+  constexpr int kAttempts = 2;
   // Checkpoint scope naming this sweep: prefix, pin pair, edge.  The point's
   // enumeration index keys the record, so replay works at any thread count.
   const std::string ckptScope =
@@ -353,15 +352,17 @@ void buildDualTables(model::GateSimulator& sim,
     // @p sim answered (AOI21's pair sweeps repeat its per-reference ones) is
     // a memo hit at any thread count.
     const model::OracleDualInputModel oracle(s, singles, &sim.dualMemo());
-    for (int a = 0; a < attempts; ++a) {
+    for (int a = 0; a < kAttempts; ++a) {
       try {
         if (a > 0) PROX_OBS_COUNT("characterize.point_retries", 1);
         value =
             p.transition ? oracle.transitionRatio(p.q) : oracle.delayRatio(p.q);
         break;
       } catch (const std::exception& e) {
-        if (!config.healPointFailures) throw;
-        if (a + 1 == attempts) {
+        // A cancelled run unwinds: the transient stopped because the token
+        // tripped, so the point is neither retried nor journaled as a hole.
+        support::pollCancellation("characterize.dual_sweep");
+        if (a + 1 == kAttempts) {
           PROX_OBS_COUNT("characterize.points_failed", 1);
           pointDiags[i] = describePointFailure(e, refPin, p.q.tauRef, p.q.sep);
         }
@@ -393,7 +394,7 @@ void buildDualTables(model::GateSimulator& sim,
 
 model::StepCorrection characterizeStepCorrection(
     model::GateSimulator& sim, const model::SingleInputModelSet& singles,
-    const model::DualInputModel& dual, double stepTau, bool healFailures,
+    const model::DualInputModel& dual, double stepTau,
     support::DiagnosticLog* log, int threads, support::CancelToken* cancel,
     CheckpointSession* checkpoint) {
   model::StepCorrection corr;
@@ -463,7 +464,8 @@ model::StepCorrection characterizeStepCorrection(
                             ? *actual.transitionTime - modeled.transitionTime
                             : 0.0;
     } catch (const std::exception& e) {
-      if (!healFailures) throw;
+      // Cancellation unwinds; only a real failure becomes a zero term.
+      support::pollCancellation("characterize.correction");
       PROX_OBS_COUNT("characterize.correction_points_failed", 1);
       taskDiags[i] = describePointFailure(e, /*refPin=*/0, stepTau, 0.0);
     }
@@ -572,9 +574,9 @@ CharacterizedGate characterizeFromGate(model::Gate gate,
 
   const int n = out.pinCount();
   for (int pin = 0; pin < n; ++pin) {
-    // Representative partner pin: the configured offset for simple gates;
-    // for complex gates, the first pin forming a sensitizable pair.
-    int partner = n > 1 ? (pin + config.partnerOffset) % n : pin;
+    // Representative partner pin: the next pin for simple gates; for
+    // complex gates, the first pin forming a sensitizable pair.
+    int partner = n > 1 ? (pin + 1) % n : pin;
     bool havePartner = n > 1;
     if (out.gate.complex && havePartner) {
       havePartner = false;
@@ -628,8 +630,8 @@ CharacterizedGate characterizeFromGate(model::Gate gate,
   }
 
   out.correction = characterizeStepCorrection(
-      sim, *out.singles, *out.dual, config.stepTau, config.healPointFailures,
-      &out.diagnostics, config.threads, config.cancel, config.checkpoint);
+      sim, *out.singles, *out.dual, config.stepTau, &out.diagnostics,
+      config.threads, config.cancel, config.checkpoint);
   if (config.checkpoint != nullptr) config.checkpoint->flush();
   return out;
 }

@@ -49,16 +49,6 @@ struct CharacterizationConfig {
   double vtcStep = 0.01;
   /// Transition time used for the "step" in correction characterization [s].
   double stepTau = 50e-12;
-  /// Representative partner pin when characterizing reference pin p is
-  /// (p + partnerOffset) mod fanin.
-  int partnerOffset = 1;
-  /// Fault tolerance: a sweep point whose transistor-level transient fails is
-  /// retried (pointRetries extra attempts) and, if still failing, left as a
-  /// hole that neighbor interpolation heals after the sweep -- the table
-  /// marks the point healed and the sweep completes instead of aborting.
-  /// false restores fail-fast characterization.
-  bool healPointFailures = true;
-  int pointRetries = 1;
   /// Worker threads for the sweep engine: 1 (default) runs every sweep on
   /// the calling thread; 0 resolves to par::defaultThreadCount()
   /// (PROX_THREADS env, else hardware concurrency); N > 1 adds pool workers.
@@ -126,9 +116,12 @@ CharacterizedGate characterizeComplexGate(
 
 /// Builds one dual-input ratio-table pair (delay + transition) for a
 /// reference pin/edge using the oracle.  Exposed for tests and for the
-/// storage-complexity bench.  Per-point failures are retried and healed per
-/// config.healPointFailures; healed points are recorded in @p log (when
-/// non-null) at Warning severity and marked in the tables.  @p scopePrefix
+/// storage-complexity bench.  A sweep point whose transistor-level transient
+/// fails is retried once and, if still failing, left as a hole that
+/// neighbor interpolation heals after the sweep: the point is recorded in
+/// @p log (when non-null) at Warning severity and marked healed in the
+/// tables, and the sweep completes instead of aborting.  A cancelled run
+/// unwinds instead (no retry, no hole).  @p scopePrefix
 /// namespaces this sweep's checkpoint records (the per-reference tables use
 /// the default "dual"; the complex-gate pair matrix passes "pair" so both
 /// sweeps over the same pin pair stay distinct in the journal).
@@ -143,9 +136,9 @@ void buildDualTables(model::GateSimulator& sim,
 
 /// Characterizes the simultaneous-step corrective terms for the gate given
 /// an (uncorrected) calculator over @p dual.  Returns signed errors
-/// (simulated minus modeled) for input counts 2..fanin.  When @p healFailures
-/// is set, a failed correction point degrades to a zero corrective term
-/// (recorded in @p log) instead of aborting.  @p threads > 1 evaluates the
+/// (simulated minus modeled) for input counts 2..fanin.  A failed
+/// correction point degrades to a zero corrective term (recorded in @p log)
+/// instead of aborting.  @p threads > 1 evaluates the
 /// correction points on the pool (one simulator per worker); this requires
 /// a thread-safe @p dual (the tabulated model is; the oracle shares one
 /// simulator and is not), so leave threads at 1 when passing an oracle.
@@ -154,8 +147,8 @@ void buildDualTables(model::GateSimulator& sim,
 model::StepCorrection characterizeStepCorrection(
     model::GateSimulator& sim, const model::SingleInputModelSet& singles,
     const model::DualInputModel& dual, double stepTau,
-    bool healFailures = true, support::DiagnosticLog* log = nullptr,
-    int threads = 1, support::CancelToken* cancel = nullptr,
+    support::DiagnosticLog* log = nullptr, int threads = 1,
+    support::CancelToken* cancel = nullptr,
     CheckpointSession* checkpoint = nullptr);
 
 }  // namespace prox::characterize

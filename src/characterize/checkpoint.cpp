@@ -1,7 +1,5 @@
 #include "characterize/checkpoint.hpp"
 
-#include <cstdio>
-
 #include "obs/registry.hpp"
 #include "support/durable_io.hpp"
 
@@ -20,10 +18,7 @@ void addToken(std::string& s, const std::string& t) {
 void addInt(std::string& s, long long v) { addToken(s, std::to_string(v)); }
 
 void addDouble(std::string& s, double v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(support::doubleToBits(v)));
-  addToken(s, buf);
+  addToken(s, support::hex64(support::doubleToBits(v)));
 }
 
 void addGrid(std::string& s, const std::vector<double>& g) {
@@ -54,7 +49,10 @@ void addTechnology(std::string& s, const cells::Technology& tech) {
 
 // Result-affecting configuration fields only: threads and the checkpoint /
 // cancel bindings are execution knobs and deliberately absent, so a journal
-// written at --threads=8 resumes under --threads=1 (and vice versa).
+// written at --threads=8 resumes under --threads=1 (and vice versa).  The
+// trailing "1 1 1" digests the fixed sweep rules (partner = next pin,
+// healing on, one retry) as earlier journals recorded them, so those
+// journals keep resuming.
 void addConfig(std::string& s, const CharacterizationConfig& config) {
   addGrid(s, config.tauGrid);
   addInt(s, static_cast<long long>(config.dualTauIndices.size()));
@@ -67,16 +65,11 @@ void addConfig(std::string& s, const CharacterizationConfig& config) {
   addGrid(s, config.wGridTransition);
   addDouble(s, config.vtcStep);
   addDouble(s, config.stepTau);
-  addInt(s, config.partnerOffset);
-  addInt(s, config.healPointFailures ? 1 : 0);
-  addInt(s, config.pointRetries);
+  s += " 1 1 1";
 }
 
 std::string digest(const std::string& text) {
-  char buf[12];
-  std::snprintf(buf, sizeof(buf), "%08x",
-                static_cast<unsigned>(support::crc32(text)));
-  return std::string("ckpt1-") + buf;
+  return "ckpt1-" + support::hex32(support::crc32(text));
 }
 
 std::string replayKey(const std::string& scope, std::uint64_t index) {

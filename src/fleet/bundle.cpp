@@ -1,6 +1,5 @@
 #include "fleet/bundle.hpp"
 
-#include <cstdio>
 #include <limits>
 #include <set>
 #include <sstream>
@@ -20,65 +19,6 @@ constexpr int kVersion = 1;
 
 // Manifest lines are machine-written and short; anything longer is damage.
 constexpr std::size_t kMaxManifestLineBytes = 4096;
-
-std::string hex64(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string hex32(std::uint32_t v) {
-  char buf[9];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return buf;
-}
-
-bool parseHex(const std::string& s, std::uint64_t* out) {
-  if (s.empty() || s.size() > 16) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    int d;
-    if (c >= '0' && c <= '9') d = c - '0';
-    else if (c >= 'a' && c <= 'f') d = c - 'a' + 10;
-    else return false;
-    v = (v << 4) | static_cast<std::uint64_t>(d);
-  }
-  *out = v;
-  return true;
-}
-
-std::vector<std::string> splitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::istringstream is(line);
-  std::string w;
-  while (is >> w) fields.push_back(std::move(w));
-  return fields;
-}
-
-/// CRC-validated manifest line: the last field is the CRC-32 (8 hex digits)
-/// of everything before it (separator included in neither).
-bool checkLine(const std::string& line, std::vector<std::string>* fields) {
-  const std::size_t lastSpace = line.find_last_of(' ');
-  if (lastSpace == std::string::npos || lastSpace + 9 != line.size()) {
-    return false;
-  }
-  std::uint64_t want = 0;
-  if (!parseHex(line.substr(lastSpace + 1), &want)) return false;
-  if (support::crc32(std::string_view(line).substr(0, lastSpace)) !=
-      static_cast<std::uint32_t>(want)) {
-    return false;
-  }
-  *fields = splitFields(line.substr(0, lastSpace));
-  return true;
-}
-
-void appendCrcLine(std::string& out, const std::string& payload) {
-  out += payload;
-  out += ' ';
-  out += hex32(support::crc32(payload));
-  out += '\n';
-}
 
 /// Whitespace-free diagnostic token: spaces and control bytes become '_' so
 /// a free-text reason can never break the line grammar.
@@ -145,32 +85,24 @@ void writeBundle(const std::string& path,
     }
   }
 
-  std::string out;
-  appendCrcLine(out, std::string(kMagic) + ' ' + std::to_string(kVersion) +
-                         ' ' + std::to_string(entries.size()));
+  using support::hex64;
+  const auto bits = [](double v) {
+    return ' ' + hex64(support::doubleToBits(v));
+  };
+  std::string out = support::sealLine(std::string(kMagic) + ' ' +
+                                      std::to_string(kVersion) + ' ' +
+                                      std::to_string(entries.size()));
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const BundleWriteEntry& e = entries[i];
-    std::string payload = "corner ";
-    payload += e.corner.name;
-    payload += ' ';
-    payload += hex64(support::doubleToBits(e.corner.vddScale));
-    payload += ' ';
-    payload += hex64(support::doubleToBits(e.corner.vtShift));
-    payload += ' ';
-    payload += hex64(support::doubleToBits(e.corner.kpScale));
-    payload += ' ';
-    payload += hex64(support::doubleToBits(e.corner.gammaScale));
-    payload += ' ';
-    payload += bundleCornerStatusName(e.status);
-    payload += ' ';
-    payload += hex64(sections[i].size());
-    payload += ' ';
-    payload += hex32(support::crc32(sections[i]));
-    payload += ' ';
-    payload += sanitizeReason(e.reason);
-    appendCrcLine(out, payload);
+    out += support::sealLine(
+        "corner " + e.corner.name + bits(e.corner.vddScale) +
+        bits(e.corner.vtShift) + bits(e.corner.kpScale) +
+        bits(e.corner.gammaScale) + ' ' + bundleCornerStatusName(e.status) +
+        ' ' + hex64(sections[i].size()) + ' ' +
+        support::hex32(support::crc32(sections[i])) + ' ' +
+        sanitizeReason(e.reason));
   }
-  appendCrcLine(out, "endmanifest");
+  out += support::sealLine("endmanifest");
   for (const std::string& s : sections) out += s;
 
   support::writeFileAtomic(path, [&](std::ostream& os) { os << out; });
@@ -197,7 +129,7 @@ Bundle parseBundle(const std::string& text, const std::string& pathForDiag) {
     ++lineNo;
     offset += line.text.size() + 1;
     std::vector<std::string> fields;
-    if (!checkLine(line.text, &fields)) {
+    if (!support::openSealedLine(line.text, &fields)) {
       support::failParse(kSite, "corrupt bundle manifest line: " + pathForDiag,
                          lineNo);
     }
@@ -240,6 +172,7 @@ Bundle parseBundle(const std::string& text, const std::string& pathForDiag) {
                          lineNo);
     }
     std::uint64_t vdd = 0, vt = 0, kp = 0, gamma = 0, len = 0, crc = 0;
+    using support::parseHex;
     if (!parseHex(f[2], &vdd) || !parseHex(f[3], &vt) || !parseHex(f[4], &kp) ||
         !parseHex(f[5], &gamma) || !parseHex(f[7], &len) ||
         !parseHex(f[8], &crc)) {

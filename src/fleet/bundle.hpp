@@ -5,10 +5,10 @@
 // completed corner plus a manifest that names every corner the fleet was
 // asked for -- including the ones that never completed (quarantined after
 // repeated worker failures, or missing because the fleet stopped early).
-// Downstream consumers (sta_path, netlist_sim) therefore always know the
-// difference between "this corner was characterized" and "this corner is a
-// hole", and apply an explicit degrade-or-reject policy instead of crashing
-// or silently serving the wrong model.
+// The consumer (sta_path) therefore always knows the difference between
+// "this corner was characterized" and "this corner is a hole", and applies
+// an explicit degrade-or-reject policy instead of crashing or silently
+// serving the wrong model.
 //
 // Layout (text; doubles as IEEE-754 hex bit patterns, so byte-identical
 // worker artifacts yield a byte-identical bundle):

@@ -1,10 +1,10 @@
 #pragma once
 // Typed indices for the STA graph arena.  Every entity the timing engine
-// touches on its hot path -- gate instances (nodes), nets, instance input
-// pins (arcs), and levelization levels -- is a dense 32-bit index into
-// contiguous per-kind arrays owned by sta::Netlist.  The tag types make the
-// four index spaces mutually unassignable at compile time while keeping the
-// runtime representation a bare uint32_t.
+// touches on its hot path -- gate instances (nodes), nets and levelization
+// levels -- is a dense 32-bit index into contiguous per-kind arrays owned by
+// sta::Netlist or its schedule.  The tag types make the three index spaces
+// mutually unassignable at compile time while keeping the runtime
+// representation a bare uint32_t.
 //
 // Strings (net and instance names) are interned exactly once, when an entity
 // is added; everything after construction -- levelization, arc evaluation,
@@ -38,10 +38,6 @@ struct Id {
 using NodeId = Id<struct NodeIdTag>;
 /// A net (a primary input or an instance output).
 using NetId = Id<struct NetIdTag>;
-/// One instance input pin: ArcId indexes the flat pin array, so the arcs of
-/// node n are the contiguous range [Netlist::nodeFirstArc(n),
-/// nodeFirstArc(n) + nodeInputs(n).size()).
-using ArcId = Id<struct ArcIdTag>;
 /// One levelization level (see LevelizeResult::level()).
 using LevelId = Id<struct LevelIdTag>;
 

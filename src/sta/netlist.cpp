@@ -75,20 +75,13 @@ NodeId Netlist::addInstance(const std::string& name,
   if (isDriven(outputNet)) {
     throw std::invalid_argument("Netlist: net multiply driven: " + outputNet);
   }
-  return addInstanceImpl(name, cell, inputNets, outputNet, false);
+  return addInstanceLenient(name, cell, inputNets, outputNet);
 }
 
 NodeId Netlist::addInstanceLenient(const std::string& name,
                                    const characterize::CharacterizedGate& cell,
                                    const std::vector<std::string>& inputNets,
                                    const std::string& outputNet) {
-  return addInstanceImpl(name, cell, inputNets, outputNet, true);
-}
-
-NodeId Netlist::addInstanceImpl(const std::string& name,
-                                const characterize::CharacterizedGate& cell,
-                                const std::vector<std::string>& inputNets,
-                                const std::string& outputNet, bool /*lenient*/) {
   if (nodeCount() >= kInvalidIdValue) {
     throw std::length_error("Netlist: node count overflows 32-bit IDs");
   }
@@ -106,10 +99,7 @@ NodeId Netlist::addInstanceImpl(const std::string& name,
   it->second = node;
   nodeNames_.push_back(name);
   nodeCells_.push_back(&cell);
-  for (const std::string& net : inputNets) {
-    pinNets_.push_back(internNet(net));
-    arcNode_.push_back(node);
-  }
+  for (const std::string& net : inputNets) pinNets_.push_back(internNet(net));
   pinFirst_.push_back(static_cast<std::uint32_t>(pinNets_.size()));
 
   const NetId out = internNet(outputNet);
@@ -282,10 +272,7 @@ LevelizeResult Netlist::levelize(StructuralPolicy policy) const {
   // levelFirst currently holds each level's end offset; prepend the start.
   out.levelFirst.insert(out.levelFirst.begin(), 0);
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (degraded[i] != 0) {
-      out.degradedNodes.push_back(NodeId(i));
-      out.degradedInstances.push_back(nodeNames_[i]);
-    }
+    if (degraded[i] != 0) out.degradedNodes.push_back(NodeId(i));
   }
   PROX_OBS_COUNT("sta.graph.nodes_levelized", placed);
   PROX_OBS_COUNT("sta.graph.levels", out.levelCount());
@@ -294,10 +281,6 @@ LevelizeResult Netlist::levelize(StructuralPolicy policy) const {
 
 std::vector<StructuralIssue> Netlist::validate() const {
   return levelize(StructuralPolicy::Degrade).issues;
-}
-
-std::vector<NodeId> Netlist::topologicalOrder() const {
-  return levelize(StructuralPolicy::Reject).order;
 }
 
 }  // namespace prox::sta

@@ -58,10 +58,9 @@ struct LevelizeResult {
   std::vector<std::uint32_t> levelFirst;  ///< size levelCount() + 1
   std::vector<StructuralIssue> issues;
   /// Nodes whose dependencies were forcibly cut (loop breaks, dangling
-  /// inputs): their arrival times are estimates, not analysis.
-  /// degradedInstances carries the same set as names for reporting.
+  /// inputs), in NodeId order: their arrival times are estimates, not
+  /// analysis.
   std::vector<NodeId> degradedNodes;
-  std::vector<std::string> degradedInstances;
 
   std::size_t levelCount() const {
     return levelFirst.empty() ? 0 : levelFirst.size() - 1;
@@ -100,8 +99,6 @@ class Netlist {
 
   std::size_t nodeCount() const { return nodeCells_.size(); }
   std::size_t netCount() const { return netNames_.size(); }
-  /// Total instance input pins; ArcId indexes this flat space.
-  std::size_t arcCount() const { return pinNets_.size(); }
 
   const std::string& nodeName(NodeId n) const { return nodeNames_[n.value]; }
   const characterize::CharacterizedGate& nodeCell(NodeId n) const {
@@ -113,9 +110,6 @@ class Netlist {
     return std::span<const NetId>(pinNets_.data() + pinFirst_[n.value],
                                   pinFirst_[n.value + 1] - pinFirst_[n.value]);
   }
-  ArcId nodeFirstArc(NodeId n) const { return ArcId(pinFirst_[n.value]); }
-  NetId arcNet(ArcId a) const { return pinNets_[a.value]; }
-  NodeId arcNode(ArcId a) const { return arcNode_[a.value]; }
 
   const std::string& netName(NetId n) const { return netNames_[n.value]; }
   /// Driving node of @p net; invalid when the net is a primary input or
@@ -153,18 +147,9 @@ class Netlist {
   /// order, so the schedule is deterministic.
   LevelizeResult levelize(StructuralPolicy policy) const;
 
-  /// Nodes in topological order (inputs before consumers).  Throws
-  /// support::DiagnosticError (StructuralError, a std::runtime_error) when
-  /// the netlist has a combinational cycle or an undriven instance input.
-  std::vector<NodeId> topologicalOrder() const;
-
  private:
   /// Interns @p name, growing the per-net arrays.
   NetId internNet(const std::string& name);
-  NodeId addInstanceImpl(const std::string& name,
-                         const characterize::CharacterizedGate& cell,
-                         const std::vector<std::string>& inputNets,
-                         const std::string& outputNet, bool lenient);
 
   // Per-net arrays, indexed by NetId.
   std::vector<std::string> netNames_;
@@ -179,11 +164,9 @@ class Netlist {
   std::vector<NetId> nodeOutput_;
   std::unordered_map<std::string, NodeId> nodeIndex_;  // build/boundary only
 
-  // Pin CSR, indexed by ArcId: node n's pins are
-  // pinNets_[pinFirst_[n] .. pinFirst_[n+1]).
+  // Pin CSR: node n's pins are pinNets_[pinFirst_[n] .. pinFirst_[n+1]).
   std::vector<std::uint32_t> pinFirst_ = {0};
   std::vector<NetId> pinNets_;
-  std::vector<NodeId> arcNode_;
 
   /// (net, losing node) pairs recorded by addInstanceLenient.
   std::vector<std::pair<NetId, NodeId>> extraDrivers_;

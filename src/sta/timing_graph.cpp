@@ -52,6 +52,7 @@ void TimingAnalyzer::run() {
   // loops broken and the defects recorded.
   LevelizeResult structure = netlist_.levelize(options_.structural);
   structuralIssues_ = std::move(structure.issues);
+  levelCount_ = structure.levelCount();
   std::vector<char> structurallyDegraded(netlist_.nodeCount(), 0);
   for (const NodeId n : structure.degradedNodes) {
     structurallyDegraded[n.value] = 1;

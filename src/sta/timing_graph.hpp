@@ -60,6 +60,9 @@ class TimingAnalyzer {
     return structuralIssues_;
   }
 
+  /// Depth of the schedule the last run() levelized.
+  std::size_t levelCount() const { return levelCount_; }
+
  private:
   /// Grows the NetId-indexed arrival arrays to the netlist's current size.
   void syncArrivalStorage();
@@ -74,6 +77,7 @@ class TimingAnalyzer {
   std::size_t degradedArcs_ = 0;
   std::vector<std::string> degradedArcNames_;
   std::vector<StructuralIssue> structuralIssues_;
+  std::size_t levelCount_ = 0;
 };
 
 }  // namespace prox::sta

@@ -47,6 +47,14 @@ constexpr std::uint64_t kMaxWordsPerRecord = kMaxLineBytes / 17;
           .withSite("support.journal"));
 }
 
+std::string headerPayload(const std::string& fingerprint) {
+  std::ostringstream os;
+  os << kMagic << ' ' << kVersion << ' ' << fingerprint;
+  return os.str();
+}
+
+}  // namespace
+
 std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -74,48 +82,28 @@ bool parseHex(const std::string& s, std::uint64_t* out) {
   return true;
 }
 
-/// Splits @p line on single spaces.  Journal lines are machine-written, so
-/// any deviation (double space, tabs) is corruption and yields a token that
-/// fails validation downstream.
-std::vector<std::string> splitFields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const std::size_t sp = line.find(' ', start);
-    if (sp == std::string::npos) {
-      fields.push_back(line.substr(start));
-      break;
-    }
-    fields.push_back(line.substr(start, sp - start));
-    start = sp + 1;
-  }
-  return fields;
+std::string sealLine(const std::string& payload) {
+  return payload + ' ' + hex32(crc32(payload)) + '\n';
 }
 
-/// Validates one journal line: the last field must be the CRC-32 (8 hex
-/// digits) of everything before it.  Returns the payload fields.
-bool checkLine(const std::string& line, std::vector<std::string>* fields) {
+bool openSealedLine(const std::string& line, std::vector<std::string>* fields) {
   const std::size_t lastSpace = line.find_last_of(' ');
   if (lastSpace == std::string::npos || lastSpace + 9 != line.size()) {
     return false;
   }
   std::uint64_t want = 0;
   if (!parseHex(line.substr(lastSpace + 1), &want)) return false;
-  if (crc32(std::string_view(line).substr(0, lastSpace)) !=
-      static_cast<std::uint32_t>(want)) {
-    return false;
+  const std::string_view payload = std::string_view(line).substr(0, lastSpace);
+  if (crc32(payload) != static_cast<std::uint32_t>(want)) return false;
+  fields->clear();
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t sp = payload.find(' ', start);
+    fields->emplace_back(payload.substr(start, sp - start));
+    if (sp == std::string_view::npos) return true;
+    start = sp + 1;
   }
-  *fields = splitFields(line.substr(0, lastSpace));
-  return true;
 }
-
-std::string headerPayload(const std::string& fingerprint) {
-  std::ostringstream os;
-  os << kMagic << ' ' << kVersion << ' ' << fingerprint;
-  return os.str();
-}
-
-}  // namespace
 
 std::uint64_t doubleToBits(double v) noexcept {
   std::uint64_t bits;
@@ -155,7 +143,8 @@ std::optional<JournalContents> Journal::loadStream(
     // everything from here on is dropped.
     const std::uint64_t lineBytes = line.text.size() + 1;
     std::vector<std::string> fields;
-    if (!line.sawNewline || line.overlong || !checkLine(line.text, &fields)) {
+    if (!line.sawNewline || line.overlong ||
+        !openSealedLine(line.text, &fields)) {
       out.truncatedTail = true;
       break;
     }
@@ -285,10 +274,7 @@ void Journal::close() {
 }
 
 void Journal::writeLine(const std::string& payload) {
-  std::string line = payload;
-  line += ' ';
-  line += hex32(crc32(payload));
-  line += '\n';
+  const std::string line = sealLine(payload);
   // One write(2) per record: on most filesystems a small append either
   // lands entirely or becomes the torn tail load() drops -- never an
   // interleaving of two records (mu_ serializes writers within the

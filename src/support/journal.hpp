@@ -55,6 +55,21 @@ struct JournalContents {
 std::uint64_t doubleToBits(double v) noexcept;
 double bitsFromDouble(std::uint64_t bits) noexcept;
 
+// The sealed-line codec journals and bundle manifests share: a line is a
+// payload of single-space-separated fields, one space, and the CRC-32 of the
+// payload as 8 hex digits.  Numbers are lowercase hex.
+
+std::string hex64(std::uint64_t v);  ///< 16 hex digits
+std::string hex32(std::uint32_t v);  ///< 8 hex digits
+/// Parses 1..16 lowercase hex digits; false on anything else.
+bool parseHex(const std::string& s, std::uint64_t* out);
+/// @p payload sealed with its CRC, newline included.
+std::string sealLine(const std::string& payload);
+/// Checks @p line's CRC (no newline) and splits its payload on single
+/// spaces.  Sealed lines are machine-written, so a double space or a tab is
+/// damage: it yields a field that fails validation downstream.
+bool openSealedLine(const std::string& line, std::vector<std::string>* fields);
+
 class Journal {
  public:
   /// Durability knobs, set before (or between) open calls.

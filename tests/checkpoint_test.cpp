@@ -11,11 +11,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "characterize/checkpoint.hpp"
 #include "characterize/serialize.hpp"
@@ -207,6 +211,52 @@ TEST(CheckpointResume, CancelledRunLeavesValidResumableJournal) {
   cfg.cancel = nullptr;
   EXPECT_EQ(modelText(characterize::characterizeGate(spec, cfg)),
             referenceText());
+}
+
+// The token trips while a dual-sweep transient is in flight (the journal
+// already holds a dual point).  The interrupted point must unwind with the
+// run -- not be retried and journaled as a hole that a resume would then
+// heal -- so resuming still writes the uninterrupted bytes.
+TEST(CheckpointResume, MidSweepCancelResumesToByteIdenticalArtifact) {
+  TempDir dir;
+  const auto spec = testutil::nandSpec(2);
+  auto cfg = testutil::fastConfig();
+  const std::string fp = configFingerprint(spec, cfg);
+  const std::string& ref = referenceText();
+
+  {
+    support::CancelToken token;
+    CheckpointSession session(dir.file("run.ckpt"), fp, /*resume=*/false);
+    cfg.checkpoint = &session;
+    cfg.cancel = &token;
+    std::optional<StatusCode> code;
+    std::atomic<bool> finished{false};
+    std::thread run([&] {
+      support::CancelScope scope(&token);
+      try {
+        characterize::characterizeGate(spec, cfg);
+      } catch (const DiagnosticError& e) {
+        code = e.code();
+      } catch (...) {
+        code = StatusCode::Internal;  // fails the check below
+      }
+      finished = true;
+    });
+    while (!finished &&
+           slurp(dir.file("run.ckpt")).find(" dual:") == std::string::npos) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    token.cancel();
+    run.join();
+    session.flush();
+    ASSERT_EQ(code, StatusCode::Cancelled);
+  }
+
+  CheckpointSession resumed(dir.file("run.ckpt"), fp, /*resume=*/true);
+  EXPECT_TRUE(resumed.resumed());
+  cfg.checkpoint = &resumed;
+  cfg.cancel = nullptr;
+  EXPECT_EQ(modelText(characterize::characterizeGate(spec, cfg)), ref);
 }
 
 // -- bounded journal loading -------------------------------------------------

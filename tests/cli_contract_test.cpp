@@ -6,7 +6,8 @@
 //
 // Most probes take milliseconds: they fail at parse time, at the first
 // budget charge or at checkpoint open, or run the analytic-library BLIF flow
-// on the 30-gate golden circuit.  The fleet check runs one quick corner.
+// on the 30-gate golden circuit.  The --strict degrade probe characterizes
+// the demo NAND2, and the fleet check runs one quick corner.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "obs/registry.hpp"
+#include "obs/report.hpp"
 
 namespace {
 
@@ -106,6 +108,13 @@ const std::vector<Probe>& probes() {
       {"NetlistThreadsThenFlag", &kNetlist, "--threads --stats", 2},
       // I/O failures exit 1.
       {"StaUnwritableStats", &kSta, kBlif + " --stats=missing/s.json", 1},
+      // --strict: 0 on a clean run, 3 when an arc degraded (a warning).
+      {"StaStrictCleanBlif", &kSta, kBlif + " --strict", 0},
+      {"StaStrictDegradedGraph", &kSta,
+       "--strict --graph=cyclic --structural=degrade", 3},
+      // netlist_sim is the deck example; timing flags live in sta_path.
+      {"NetlistStrictIsUnknown", &kNetlist, "--strict", 2},
+      {"NetlistBundleIsUnknown", &kNetlist, "--bundle=b.proxbundle", 2},
   };
   return rows;
 }
@@ -152,6 +161,21 @@ TEST(CliContractReport, BudgetFailureCommitsStatsAndTrace) {
   if (prox::obs::kStatsCompiledIn) {
     EXPECT_NE(dir.read("s.json").find("support.budget.exceeded"),
               std::string::npos);
+  }
+}
+
+// The BLIF flow levelizes once per analysis, proximity then classic:
+// golden30's 30 gates in 5 levels, twice.
+TEST(CliContractReport, BlifFlowLevelizesOncePerAnalysis) {
+  WorkDir dir("BlifLevelize");
+  EXPECT_EQ(run(dir, kSta, kBlif + " --stats=s.json"), 0)
+      << dir.read("err.txt");
+  EXPECT_NE(dir.read("out.txt").find("5 levels deep"), std::string::npos);
+  if (prox::obs::kStatsCompiledIn) {
+    const prox::obs::Report report = prox::obs::parseJson(dir.read("s.json"));
+    EXPECT_EQ(report.counterValue("sta.graph.runs"), 2u);
+    EXPECT_EQ(report.counterValue("sta.graph.nodes_levelized"), 60u);
+    EXPECT_EQ(report.counterValue("sta.graph.levels"), 10u);
   }
 }
 

@@ -59,7 +59,7 @@ TEST(StructuralValidation, CleanNetlistHasNoIssues) {
   const auto res = nl.levelize(StructuralPolicy::Reject);
   ASSERT_EQ(res.levelCount(), 2u);
   EXPECT_TRUE(res.issues.empty());
-  EXPECT_TRUE(res.degradedInstances.empty());
+  EXPECT_TRUE(res.degradedNodes.empty());
 }
 
 TEST(StructuralValidation, CycleIsNamedInPathOrder) {
@@ -86,12 +86,13 @@ TEST(StructuralValidation, RejectPolicyThrowsTypedStructuralError) {
 }
 
 TEST(StructuralValidation, DegradeBreaksLoopAtLowestNumberedMember) {
-  const auto res = cyclicNetlist().levelize(StructuralPolicy::Degrade);
+  const Netlist nl = cyclicNetlist();
+  const auto res = nl.levelize(StructuralPolicy::Degrade);
   // Every instance placed exactly once -- levelization terminated.
   EXPECT_EQ(res.order.size(), 4u);
-  ASSERT_FALSE(res.degradedInstances.empty());
+  ASSERT_FALSE(res.degradedNodes.empty());
   // u1 is the lowest-numbered cycle member, so the break lands there.
-  EXPECT_EQ(res.degradedInstances.front(), "u1");
+  EXPECT_EQ(nl.nodeName(res.degradedNodes.front()), "u1");
   EXPECT_NE(findIssue(res.issues, Kind::Cycle), nullptr);
 }
 
@@ -138,7 +139,8 @@ TEST(StructuralValidation, DanglingInputIsNamed) {
   // Degrade treats the dangling net as no-event and still levelizes.
   const auto res = nl.levelize(StructuralPolicy::Degrade);
   ASSERT_EQ(res.levelCount(), 1u);
-  EXPECT_EQ(res.degradedInstances, std::vector<std::string>{"u1"});
+  ASSERT_EQ(res.degradedNodes.size(), 1u);
+  EXPECT_EQ(nl.nodeName(res.degradedNodes[0]), "u1");
 }
 
 TEST(StructuralValidation, EachKindCountsUnderItsOwnCounter) {

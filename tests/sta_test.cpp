@@ -49,7 +49,7 @@ TEST(Netlist, TopologicalOrderRespectsDependencies) {
   // Add the consumer first to make the sort do real work.
   nl.addInstance("u2", cell, {"y1", "b"}, "y2");
   nl.addInstance("u1", cell, {"a", "b"}, "y1");
-  const auto order = nl.topologicalOrder();
+  const auto order = nl.levelize(sta::StructuralPolicy::Reject).order;
   ASSERT_EQ(order.size(), 2u);
   EXPECT_EQ(nl.nodeName(order[0]), "u1");
   EXPECT_EQ(nl.nodeName(order[1]), "u2");
@@ -60,7 +60,8 @@ TEST(Netlist, DetectsUndrivenInput) {
   sta::Netlist nl;
   nl.addPrimaryInput("a");
   nl.addInstance("u1", cell, {"a", "floating"}, "y");
-  EXPECT_THROW(nl.topologicalOrder(), std::runtime_error);
+  EXPECT_THROW(nl.levelize(sta::StructuralPolicy::Reject),
+               std::runtime_error);
 }
 
 TEST(Netlist, DetectsCycle) {
@@ -69,7 +70,8 @@ TEST(Netlist, DetectsCycle) {
   nl.addPrimaryInput("a");
   nl.addInstance("u1", cell, {"a", "y2"}, "y1");
   nl.addInstance("u2", cell, {"a", "y1"}, "y2");
-  EXPECT_THROW(nl.topologicalOrder(), std::runtime_error);
+  EXPECT_THROW(nl.levelize(sta::StructuralPolicy::Reject),
+               std::runtime_error);
 }
 
 TEST(DelayCalc, NoSwitchingPinsYieldsNoOutput) {
