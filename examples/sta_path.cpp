@@ -21,8 +21,9 @@
 // --blif times a BLIF netlist instead and prints its critical path.
 //
 // With --strict every fault the run absorbed -- a characterization point
-// that had to be healed, an arc that fell back to a degraded delay model --
-// is printed to stderr and sets the exit code (cli::severityExitCode).  The
+// that had to be healed, a quarantined bundle corner served by its nearest
+// neighbor, an arc that fell back to a degraded delay model -- is printed
+// to stderr and sets the exit code (cli::severityExitCode).  The
 // other flags and exit codes follow the tools' shared contract (cli.hpp;
 // README "Exit codes").
 
@@ -71,7 +72,8 @@ struct Run {
   std::string cornerName = "tt";
   fleet::MissingCornerPolicy cornerPolicy = fleet::MissingCornerPolicy::Reject;
   bool strict = false;
-  /// Faults healed in the cells this run characterized.
+  /// Faults healed in the cells this run characterized, and a bundle's
+  /// nearest-corner substitution.
   support::DiagnosticLog absorbed;
   /// Arcs that fell back to a degraded delay model, over every analysis.
   std::size_t degradedArcs = 0;
@@ -311,7 +313,8 @@ void timeChain(Run& run, const characterize::CharacterizedGate& cell) {
 /// from a fleet-assembled multi-corner bundle (fleet/bundle.hpp).  A corner
 /// the fleet quarantined is served under an explicit policy -- reject
 /// (exit 8) or degrade to the nearest characterized corner with a counted,
-/// logged substitution -- mirroring the --structural ladder.
+/// logged substitution that counts toward --strict -- mirroring the
+/// --structural ladder.
 void runDemoFlow(Run& run) {
   if (run.bundlePath.empty()) {
     std::printf("characterizing NAND2 cell ...\n");
@@ -336,6 +339,7 @@ void runDemoFlow(Run& run) {
                 sel.requested.c_str(), sel.entry->corner.name.c_str());
     for (const auto& d : degradeLog.entries()) {
       std::printf("  %s\n", d.toString().c_str());
+      run.absorbed.record(d);
     }
   } else {
     std::printf("serving corner '%s'\n", sel.entry->corner.name.c_str());
@@ -348,7 +352,7 @@ void runDemoFlow(Run& run) {
 int strictExitCode(const Run& run) {
   support::Severity worst = run.absorbed.worstSeverity();
   if (!run.absorbed.empty()) {
-    std::fprintf(stderr, "--strict: characterization absorbed %zu fault(s):\n",
+    std::fprintf(stderr, "--strict: the run absorbed %zu fault(s):\n",
                  run.absorbed.size());
     for (const auto& d : run.absorbed.entries()) {
       std::fprintf(stderr, "  %s\n", d.toString().c_str());

@@ -96,18 +96,6 @@ double SparseMatrix::maxAbs() const {
   return m;
 }
 
-Matrix SparseMatrix::toDense() const {
-  const std::size_t n = size();
-  Matrix d(n, n);
-  const auto& cols = pattern_->columns();
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t s = pattern_->rowBegin(r); s < pattern_->rowEnd(r); ++s) {
-      d(r, cols[s]) = values_[s];
-    }
-  }
-  return d;
-}
-
 Vector SparseMatrix::multiply(const Vector& x) const {
   const std::size_t n = size();
   if (x.size() != n) {

@@ -21,14 +21,14 @@
 //     fill structure), refactor() (numeric only, frozen pivot order and
 //     structure, allocation-free), solveInPlace() (allocation-free).
 //
-// The dense LuFactorization in linalg/lu.hpp is retained for general dense
-// systems and as the cross-check oracle in sparse_solver_test.
+// The dense LU that sparse_solver_test checks SparseLu against lives in
+// tests/dense_lu.hpp.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "linalg/matrix.hpp"
+#include "linalg/vector.hpp"
 
 namespace prox::linalg {
 
@@ -109,9 +109,6 @@ class SparseMatrix {
 
   /// Largest absolute structural value (0 for an empty matrix).
   double maxAbs() const;
-
-  /// Dense copy, for cross-checks and debugging.
-  Matrix toDense() const;
 
   /// y = A * x (sizes must match).  Test/verification helper.
   Vector multiply(const Vector& x) const;

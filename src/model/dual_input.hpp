@@ -169,15 +169,14 @@ struct DualTable {
 ///     sit in a series branch (slow-down) or a parallel branch (speed-up).
 /// Lookup prefers the pair table and falls back to the per-reference one.
 ///
-/// Storage is two-tier.  The DualTable maps remain the authoritative,
-/// serialized representation; every set*Table call additionally recompiles a
-/// flat structure-of-arrays index -- all grids and value planes packed into
-/// one contiguous arena, with per-table axis metadata (dimensions, strides,
-/// arena offsets) and dense slot arrays keyed exactly like the maps.  Every
-/// query is answered on that arena.
+/// The DualTable maps own the tables; dense slot arrays keyed exactly like
+/// the maps point into them, so a query finds its table without a map walk.
+/// The slots point into this model's own maps, so the model is not copyable.
 class TabulatedDualInputModel : public DualInputModel {
  public:
   explicit TabulatedDualInputModel(const SingleInputModelSet& singles);
+  TabulatedDualInputModel(const TabulatedDualInputModel&) = delete;
+  TabulatedDualInputModel& operator=(const TabulatedDualInputModel&) = delete;
 
   /// Installs the per-reference delay table for (refPin, edge).
   void setDelayTable(int refPin, wave::Edge edge, DualTable table);
@@ -202,16 +201,14 @@ class TabulatedDualInputModel : public DualInputModel {
   /// All installed pair-table keys as (refPin, otherPin, edge) tuples.
   std::vector<std::tuple<int, int, wave::Edge>> pairKeys() const;
 
-  /// Answers each query on the compiled SoA arena: @p q's kind selects the
-  /// delay or transition table.  A query outside its proximity window is
-  /// 1.0; a query outside a table grid is answered with the clamped
-  /// boundary value and its clamp distance; a query no table covers comes
-  /// back with Status::MissingTable.  Grid location runs per lane; the
-  /// trilinear blend runs through the simd:: dispatch shim (AVX2/NEON with a
-  /// scalar fallback, PROX_SIMD=off override), bit-identical on every path.
+  /// Answers each query from start to finish, in index order: @p q's kind
+  /// selects the delay or transition table.  A query outside its proximity
+  /// window is 1.0; a query outside a table grid is answered with the
+  /// clamped boundary value and its clamp distance; a query no table covers
+  /// comes back with Status::MissingTable.
   ///
-  /// Not safe to call concurrently with set*Table (which recompiles the
-  /// index); concurrent evaluateMany calls are fine.
+  /// Not safe to call concurrently with set*Table; concurrent evaluateMany
+  /// calls are fine.
   void evaluateMany(std::span<const DualQuery> queries,
                     std::span<DualResult> results) const override;
 
@@ -219,29 +216,17 @@ class TabulatedDualInputModel : public DualInputModel {
   std::size_t totalBytes() const;
 
  private:
+  using Slots = std::vector<const DualTable*>;
+
   static int key(int pin, wave::Edge edge) {
     return pin * 2 + (edge == wave::Edge::Rising ? 0 : 1);
   }
   static int pairKey(int refPin, int otherPin, wave::Edge edge) {
     return (refPin * 64 + otherPin) * 2 + (edge == wave::Edge::Rising ? 0 : 1);
   }
-  /// One table's compiled view: dimensions plus offsets into arena_ for the
-  /// three axis grids and the value plane.  strideU/strideV are the
-  /// precomputed flattening strides (nv*nw and nw) so lane index arithmetic
-  /// never re-derives them from grid sizes.  Each axis also carries its
-  /// precomputed overshoot normalizer (the axis span, or max(|lo|, 1) for
-  /// degenerate grids) so no lane re-derives it.
-  struct TableView {
-    std::uint32_t nu = 0, nv = 0, nw = 0;
-    std::uint32_t strideU = 0, strideV = 0;
-    std::uint32_t uOff = 0, vOff = 0, wOff = 0, valOff = 0;
-    double uDenom = 1.0, vDenom = 1.0, wDenom = 1.0;
-  };
-
-  /// Recompiles arena_/views_/slot arrays from the table maps.  Called by
-  /// every set*Table; cheap relative to characterizing even one table.
-  void rebuildIndex();
-  void appendView(const DualTable& t);
+  /// Stores @p table under @p k and points @p slots[k] at it.
+  static void install(std::map<int, DualTable>& tables, Slots& slots, int k,
+                      DualTable table);
 
   const SingleInputModelSet& singles_;
   std::map<int, DualTable> delayTables_;
@@ -249,13 +234,10 @@ class TabulatedDualInputModel : public DualInputModel {
   std::map<int, DualTable> pairDelayTables_;
   std::map<int, DualTable> pairTransitionTables_;
 
-  // --- compiled SoA index (rebuilt by rebuildIndex) ---
-  std::vector<double> arena_;      ///< all grids + value planes, contiguous
-  std::vector<TableView> views_;   ///< one entry per installed table
-  /// Dense slot arrays: map key -> view index, -1 when absent.  Sized to the
+  /// Dense slot arrays: map key -> table, null when absent.  Sized to the
   /// largest installed key, so an out-of-range probe means "no table".
-  std::vector<std::int32_t> delaySlots_, transSlots_;
-  std::vector<std::int32_t> pairDelaySlots_, pairTransSlots_;
+  Slots delaySlots_, transSlots_;
+  Slots pairDelaySlots_, pairTransSlots_;
 };
 
 }  // namespace prox::model

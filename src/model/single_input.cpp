@@ -101,17 +101,23 @@ void SingleInputModelSet::set(SingleInputModel m) {
   models_[key(m.pin(), m.edge())] = std::move(m);
 }
 
+const SingleInputModel* SingleInputModelSet::find(int pin,
+                                                  wave::Edge edge) const {
+  const auto it = models_.find(key(pin, edge));
+  return it != models_.end() ? &it->second : nullptr;
+}
+
 bool SingleInputModelSet::has(int pin, wave::Edge edge) const {
-  return models_.count(key(pin, edge)) != 0;
+  return find(pin, edge) != nullptr;
 }
 
 const SingleInputModel& SingleInputModelSet::at(int pin, wave::Edge edge) const {
-  auto it = models_.find(key(pin, edge));
-  if (it == models_.end()) {
+  const SingleInputModel* m = find(pin, edge);
+  if (m == nullptr) {
     throw std::out_of_range("SingleInputModelSet: no model for pin " +
                             std::to_string(pin));
   }
-  return it->second;
+  return *m;
 }
 
 SingleInputModelSet SingleInputModelSet::characterizeAll(

@@ -71,6 +71,8 @@ class SingleInputModelSet {
   void set(SingleInputModel m);
   bool has(int pin, wave::Edge edge) const;
   const SingleInputModel& at(int pin, wave::Edge edge) const;
+  /// The model for (@p pin, @p edge), or null when there is none.
+  const SingleInputModel* find(int pin, wave::Edge edge) const;
 
   /// Characterizes models for every pin of the gate in both directions.
   static SingleInputModelSet characterizeAll(GateSimulator& sim,

@@ -258,9 +258,9 @@ class Registry {
   /// Returns the histogram named @p name, creating it on first use.
   Histogram& histogram(std::string_view name);
 
-  /// Sets (or replaces) a free-form string label, e.g. which SIMD dispatch
-  /// path is live.  Labels describe ambient process facts rather than event
-  /// tallies, so resetAll() leaves them in place.
+  /// Sets (or replaces) a free-form string label.  Labels describe ambient
+  /// process facts rather than event tallies, so resetAll() leaves them in
+  /// place.
   void setLabel(std::string_view name, std::string_view value);
 
   /// Snapshot of every label in name order.

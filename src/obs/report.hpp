@@ -32,7 +32,7 @@
 //
 // Version history: v1 (PR 1) had no schema_version key and no histograms;
 // v2 (PR 3) added histograms and the version key; v3 (PR 9) added the
-// optional labels section (small string facts such as simd.dispatch.path);
+// optional labels section (small string facts about the process);
 // v4 (PR 10) added the optional git_sha / run_timestamp provenance stamps so
 // perf trajectories can be assembled across commits.  parseJson accepts all
 // four and reports the version it read.
@@ -121,8 +121,8 @@ struct Report {
   /// which commit and when a run happened).  Empty means omitted.
   std::string gitSha;
   std::string runTimestamp;  ///< ISO-8601 UTC, e.g. "2026-01-02T03:04:05Z"
-  /// Small string facts from the registry (e.g. simd.dispatch.path), sorted
-  /// by name.  Omitted from the JSON when empty.
+  /// Small string facts from the registry, sorted by name.  Omitted from the
+  /// JSON when empty.
   std::vector<std::pair<std::string, std::string>> labels;
   std::vector<CounterSample> counters;
   std::vector<TimerSample> timers;

@@ -1,39 +1,16 @@
 #pragma once
-// Runtime SIMD dispatch for the batched table-evaluation kernels.
-//
-// The resolution order is fixed and cheap (one atomic load on the hot path):
-//   1. the PROX_SIMD environment variable -- "off", "scalar" or "0" forces
-//      the scalar fallback (the bit-identity referee in CI runs the whole
-//      test suite once per path);
-//   2. a test override installed via forcePath();
-//   3. CPU capability: AVX2 on x86-64 (detected with cpuid), NEON on
-//      AArch64, scalar everywhere else.
-//
-// Every kernel behind this shim is bit-identical to its scalar fallback by
-// contract (DESIGN.md §11): the dispatch decision may change how fast an
-// answer arrives, never which bits it contains.
+// Kept for programs that still report a dispatch path: the dual-table
+// lookup (TabulatedDualInputModel::evaluateMany) is one scalar loop, so the
+// path is always Scalar.
 
 namespace prox::simd {
 
 enum class Path {
-  Scalar,  ///< portable fallback, always available
-  Avx2,    ///< x86-64 AVX2 (4 doubles per vector, gathers)
-  Neon,    ///< AArch64 NEON (2 doubles per vector)
+  Scalar,
 };
 
-/// The path the kernels currently dispatch to.  Resolved once (environment,
-/// then CPU detection) and cached; forcePath() overrides the cache.
-Path activePath();
+inline Path activePath() { return Path::Scalar; }
 
-/// Test hook: pin the dispatch to @p p regardless of environment or CPU.
-/// Forcing a path the CPU cannot execute is the caller's own foot-gun; tests
-/// only ever force Scalar.
-void forcePath(Path p);
-
-/// Drops any forcePath() override and re-resolves from environment + CPU.
-void resetPath();
-
-/// Stable lower-case name for reports ("scalar", "avx2", "neon").
-const char* pathName(Path p);
+inline const char* pathName(Path) { return "scalar"; }
 
 }  // namespace prox::simd

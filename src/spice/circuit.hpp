@@ -19,8 +19,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
+#include "linalg/vector.hpp"
 
 namespace prox::spice {
 

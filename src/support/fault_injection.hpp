@@ -21,7 +21,7 @@
 namespace prox::support {
 
 enum class FaultKind {
-  SingularLu,         ///< LuFactorization::factor reports numerical singularity
+  SingularLu,         ///< SparseLu::factor/refactor reports numerical singularity
   NewtonNonConverge,  ///< solveNewton returns without convergence
   NanResidual,        ///< a NaN is planted in the Newton residual vector
   SimulationFailure,  ///< GateSimulator::simulate throws SimulationFailed

@@ -7,7 +7,8 @@
 // Most probes take milliseconds: they fail at parse time, at the first
 // budget charge or at checkpoint open, or run the analytic-library BLIF flow
 // on the 30-gate golden circuit.  The --strict degrade probe characterizes
-// the demo NAND2, and the fleet check runs one quick corner.
+// the demo NAND2, the fleet check runs one quick corner, and the
+// nearest-corner check runs a two-corner fleet.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
+#include "support/fault_injection.hpp"
 
 namespace {
 
@@ -192,5 +194,33 @@ TEST(CliContractReport, FleetForwardsProgressAsParsed) {
             0)
       << dir.read("err.txt");
 }
+
+#if PROX_ENABLE_FAULT_INJECTION
+// --strict counts a bundle's nearest-corner substitution, which selectCorner
+// logs as a Warning (exit 3); a characterized corner of the same bundle
+// exits 0.
+TEST(CliContractReport, StrictCountsNearestCornerSubstitution) {
+  WorkDir dir("StrictNearestCorner");
+  std::ofstream(dir.path / "two.corners")
+      << "proxcorners 1\ncorner tt vdd 1.0 vt 0.0 kp 1.0 gamma 1.0\n"
+         "corner ss vdd 1.0 vt 0.1 kp 1.0 gamma 1.0\n";
+  // Shard 0 (tt) dies on all three attempts and is quarantined: exit 1.
+  ASSERT_EQ(run(dir, kCorners,
+                "--quick --corners=two.corners --retry-backoff=0.05 "
+                "--inject=crash@0*3 --out=holes.proxbundle --quiet"),
+            1)
+      << dir.read("err.txt");
+  EXPECT_EQ(run(dir, kSta,
+                "--strict --bundle=holes.proxbundle --corner=tt "
+                "--corner-policy=degrade"),
+            3)
+      << dir.read("err.txt");
+  EXPECT_NE(dir.read("err.txt").find("nearest characterized corner"),
+            std::string::npos);
+  EXPECT_EQ(run(dir, kSta, "--strict --bundle=holes.proxbundle --corner=ss"),
+            0)
+      << dir.read("err.txt");
+}
+#endif  // PROX_ENABLE_FAULT_INJECTION
 
 }  // namespace

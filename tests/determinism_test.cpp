@@ -22,7 +22,6 @@
 #include "characterize/characterize.hpp"
 #include "model/dual_input.hpp"
 #include "model/single_input.hpp"
-#include "simd/dispatch.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -495,7 +494,7 @@ TEST(LargeStaDeterminism, BlifRoundTripMatchesDirectBuild) {
 // Property: evaluateMany() must be bit-identical to the scalar map-walk
 // reference (dual_table_reference.hpp) -- values, clamp distances and
 // statuses -- for arbitrary query mixes (in-grid, clamped, window shortcuts,
-// missing tables), on every SIMD dispatch path.
+// missing tables).
 
 /// Deterministic 64-bit generator (splitmix64): no std random machinery, so
 /// the query set is identical on every platform and run.
@@ -603,30 +602,6 @@ void expectBatchMatchesScalar(const BatchedFixture& fx,
 TEST(BatchedDualDeterminism, EvaluateManyMatchesScalarBitForBit) {
   const BatchedFixture fx;
   expectBatchMatchesScalar(fx, fx.randomQueries(512));
-}
-
-TEST(BatchedDualDeterminism, EvaluateManyMatchesScalarOnForcedScalarPath) {
-  // Forcing the dispatcher onto the portable kernel must not change a bit;
-  // together with the test above this pins SIMD == scalar == batched.  The
-  // CI matrix re-runs the whole suite under PROX_SIMD=off, which exercises
-  // the same guarantee through the environment override.
-  const BatchedFixture fx;
-  const auto qs = fx.randomQueries(512);
-
-  std::vector<model::DualResult> native(qs.size());
-  fx.model->evaluateMany(qs, native);
-
-  simd::forcePath(simd::Path::Scalar);
-  expectBatchMatchesScalar(fx, qs);
-  std::vector<model::DualResult> forced(qs.size());
-  fx.model->evaluateMany(qs, forced);
-  simd::resetPath();
-
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_EQ(native[i].value, forced[i].value) << "lane " << i;
-    EXPECT_EQ(native[i].clampDistance, forced[i].clampDistance) << "lane " << i;
-    EXPECT_EQ(native[i].status, forced[i].status) << "lane " << i;
-  }
 }
 
 TEST(BatchedDualDeterminism, EvaluateManyHandlesEdgeLanes) {

@@ -1,10 +1,10 @@
 #pragma once
 // The scalar reference TabulatedDualInputModel::evaluateMany() is checked
 // against: the DualTable map walk, one query at a time, with per-axis
-// locate/overshoot and the trilinear blend written the plain way.  The SoA
-// arena must agree with it bit for bit -- values, clamp distances, statuses
-// and window shortcuts -- on every SIMD dispatch path
-// (determinism_test's BatchedDualDeterminism.*).
+// locate/overshoot and the trilinear blend written the plain way.
+// evaluateMany() must agree with it bit for bit -- values, clamp distances,
+// statuses and window shortcuts (determinism_test's
+// BatchedDualDeterminism.*).
 
 #include <algorithm>
 #include <cmath>
@@ -95,12 +95,12 @@ inline model::DualResult lookup(const model::TabulatedDualInputModel& m,
   return r;
 }
 
-/// Table @p t answered through the production path at table coordinates
-/// (u, v, w): a TabulatedDualInputModel whose lone single-input sample has
+/// Table @p t answered by evaluateMany() at table coordinates (u, v, w):
+/// a TabulatedDualInputModel whose lone single-input sample has
 /// tau^(1) = 1 and Delta^(1) = 1000, so a transition query's normalized
 /// coordinates are its raw times and its window ends at w = 1001.
-inline model::DualResult arenaLookup(const model::DualTable& t, double u,
-                                     double v, double w) {
+inline model::DualResult evaluateAt(const model::DualTable& t, double u,
+                                    double v, double w) {
   model::SingleInputModelSet singles;
   singles.set(model::SingleInputModel(0, wave::Edge::Rising,
                                       {{1.0, 1000.0, 1.0}}, 1.0, 1.0, 1.0));

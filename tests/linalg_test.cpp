@@ -1,17 +1,18 @@
-// Unit tests for the dense matrix and LU solver.
+// Unit tests for the dense matrix and LU oracle (dense_lu.hpp) and the
+// solver's vector helpers.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <random>
 
-#include "linalg/lu.hpp"
-#include "linalg/matrix.hpp"
+#include "dense_lu.hpp"
+#include "linalg/vector.hpp"
 
 namespace {
 
-using prox::linalg::LuFactorization;
-using prox::linalg::Matrix;
+using prox::testref::LuFactorization;
+using prox::testref::Matrix;
 using prox::linalg::Vector;
 
 TEST(Matrix, ConstructionZeroInitializes) {
@@ -80,7 +81,7 @@ TEST(Lu, SolvesKnown2x2System) {
   Matrix a(2, 2);
   a(0, 0) = 2.0; a(0, 1) = 1.0;
   a(1, 0) = 1.0; a(1, 1) = 3.0;
-  const Vector x = prox::linalg::solve(a, Vector{5.0, 10.0});
+  const Vector x = prox::testref::solve(a, Vector{5.0, 10.0});
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
 }
@@ -90,7 +91,7 @@ TEST(Lu, RequiresPivoting) {
   Matrix a(2, 2);
   a(0, 0) = 0.0; a(0, 1) = 1.0;
   a(1, 0) = 1.0; a(1, 1) = 0.0;
-  const Vector x = prox::linalg::solve(a, Vector{2.0, 3.0});
+  const Vector x = prox::testref::solve(a, Vector{2.0, 3.0});
   EXPECT_NEAR(x[0], 3.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
@@ -101,7 +102,7 @@ TEST(Lu, DetectsSingularMatrix) {
   a(1, 0) = 2.0; a(1, 1) = 4.0;  // rank 1
   LuFactorization lu;
   EXPECT_FALSE(lu.factor(a));
-  EXPECT_THROW(prox::linalg::solve(a, Vector{1.0, 1.0}), std::runtime_error);
+  EXPECT_THROW(prox::testref::solve(a, Vector{1.0, 1.0}), std::runtime_error);
 }
 
 TEST(Lu, NonSquareThrows) {
@@ -163,7 +164,7 @@ TEST_P(LuRandomSweep, ResidualIsTiny) {
   Vector b(static_cast<std::size_t>(n));
   for (double& x : b) x = dist(rng);
 
-  const Vector x = prox::linalg::solve(a, b);
+  const Vector x = prox::testref::solve(a, b);
   const Vector r = prox::linalg::subtract(a.multiply(x), b);
   EXPECT_LT(prox::linalg::normInf(r), 1e-10);
 }

@@ -125,7 +125,7 @@ TEST(DualTable, TrilinearInterpolationExactAtNodes) {
     }
   }
   const auto at = [&t](double u, double v, double w) {
-    return testref::arenaLookup(t, u, v, w).value;
+    return testref::evaluateAt(t, u, v, w).value;
   };
   EXPECT_DOUBLE_EQ(at(0.0, 0.0, 0.0), 0.0);
   EXPECT_DOUBLE_EQ(at(1.0, 1.0, 1.0), 7.0);
@@ -139,7 +139,7 @@ TEST(DualTable, ClampsOutsideGrid) {
   t.v = {0.0, 1.0};
   t.w = {0.0, 1.0};
   t.ratio.assign(8, 2.0);
-  EXPECT_DOUBLE_EQ(testref::arenaLookup(t, -5.0, 0.5, 9.0).value, 2.0);
+  EXPECT_DOUBLE_EQ(testref::evaluateAt(t, -5.0, 0.5, 9.0).value, 2.0);
 }
 
 TEST(DualTable, BytesAccountsForAxesAndValues) {

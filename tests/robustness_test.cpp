@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "cells/fixture.hpp"
+#include "dense_lu.hpp"
 #include "model/glitch.hpp"
 #include "spice/dcsweep.hpp"
 #include "spice/netlist.hpp"
@@ -187,7 +188,7 @@ TEST(Resistor, SetResistanceRevalidates) {
 }
 
 TEST(Matrix, ResizeZeroesContent) {
-  linalg::Matrix m(2, 2);
+  testref::Matrix m(2, 2);
   m(0, 0) = 7.0;
   m.resize(3, 4);
   EXPECT_EQ(m.rows(), 3u);

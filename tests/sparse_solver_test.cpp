@@ -1,6 +1,6 @@
 // Sparse MNA solver cross-checks: SparsityPattern slot resolution, and
-// SparseLu factor/refactor/solve verified against the retained dense
-// LuFactorization oracle on random SPD-ish matrices and MNA-shaped systems
+// SparseLu factor/refactor/solve verified against the dense LuFactorization
+// oracle (dense_lu.hpp) on random SPD-ish matrices and MNA-shaped systems
 // (zero-diagonal auxiliary rows, gmin ladders, stale-pivot refactors).
 // Also pins the allocation-freedom contract of the Newton hot path: after a
 // workspace is bound, repeated solves never allocate (spice.solve.allocs).
@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "linalg/lu.hpp"
+#include "dense_lu.hpp"
 #include "linalg/sparse.hpp"
 #include "obs/registry.hpp"
 #include "obs/report.hpp"
@@ -26,7 +26,7 @@
 namespace {
 
 using namespace prox;
-using linalg::Matrix;
+using testref::Matrix;
 using linalg::SparseLu;
 using linalg::SparseMatrix;
 using linalg::SparsityPattern;
@@ -70,7 +70,7 @@ void fromDense(const Matrix& d, SparsityPattern& p, SparseMatrix& a) {
 
 void expectSolvesMatchDense(const Matrix& d, SparseLu& lu, const Vector& rhs,
                             double tol) {
-  linalg::LuFactorization dense;
+  testref::LuFactorization dense;
   ASSERT_TRUE(dense.factor(d));
   const Vector want = dense.solve(rhs);
   Vector got = rhs;

@@ -138,19 +138,19 @@ model::DualTable tinyTable() {
 
 TEST(DualTable, InGridQueryReportsZeroClampDistance) {
   const model::DualTable t = tinyTable();
-  EXPECT_DOUBLE_EQ(testref::arenaLookup(t, 1.5, 1.0, 0.0).clampDistance, 0.0);
+  EXPECT_DOUBLE_EQ(testref::evaluateAt(t, 1.5, 1.0, 0.0).clampDistance, 0.0);
 }
 
 TEST(DualTable, OutOfGridQueryClampsAndReportsDistance) {
   const model::DualTable t = tinyTable();
   // u overshoots by 1.0 beyond a span of 1.0 -> relative distance 1.0.
-  const model::DualResult r = testref::arenaLookup(t, 3.0, 1.0, 0.0);
+  const model::DualResult r = testref::evaluateAt(t, 3.0, 1.0, 0.0);
   EXPECT_DOUBLE_EQ(r.clampDistance, 1.0);
   EXPECT_TRUE(std::isfinite(r.value));
   // The clamped answer equals the boundary value.
-  EXPECT_DOUBLE_EQ(r.value, testref::arenaLookup(t, 2.0, 1.0, 0.0).value);
+  EXPECT_DOUBLE_EQ(r.value, testref::evaluateAt(t, 2.0, 1.0, 0.0).value);
   // The largest per-axis overshoot wins.
-  EXPECT_DOUBLE_EQ(testref::arenaLookup(t, 3.0, 1.0, 5.0).clampDistance, 2.0);
+  EXPECT_DOUBLE_EQ(testref::evaluateAt(t, 3.0, 1.0, 5.0).clampDistance, 2.0);
 }
 
 TEST(DualTable, HealedMarksRoundTripThroughAccessors) {

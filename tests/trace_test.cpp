@@ -393,7 +393,7 @@ TEST(TraceTest, LabelsRoundTripThroughReportSchemaV3) {
   EXPECT_TRUE(found);
 
   // Labels are ambient process facts: a stats reset leaves them in place so
-  // a post-run report still records e.g. which SIMD path was dispatched.
+  // a post-run report still records them.
   obs::resetAll();
   bool foundAfterReset = false;
   for (const auto& [name, value] : obs::snapshot().labels) {
