@@ -1,8 +1,5 @@
 #include "model/dominance.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 namespace prox::model {
 
 double predictedCrossing(const InputEvent& ev, const SingleInputModelSet& singles) {
@@ -21,18 +18,40 @@ DominanceSense dominanceSense(cells::GateType type, wave::Edge inputEdge) {
                            : DominanceSense::LatestFirst;
 }
 
+void dominanceOrder(const std::vector<InputEvent>& events,
+                    const SingleInputModelSet& singles, DominanceSense sense,
+                    std::vector<std::size_t>& order,
+                    std::vector<double>& delay1, std::vector<double>& crossing) {
+  const std::size_t n = events.size();
+  delay1.resize(n);
+  crossing.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const InputEvent& ev = events[i];
+    delay1[i] = singles.at(ev.pin, ev.edge).delay(ev.tau);
+    crossing[i] = ev.tRef + delay1[i];  // predictedCrossing(ev, singles)
+  }
+  const auto before = [&](std::size_t a, std::size_t b) {
+    return sense == DominanceSense::EarliestFirst ? crossing[a] < crossing[b]
+                                                  : crossing[a] > crossing[b];
+  };
+  // Stable insertion sort: an index moves only past strictly later-ranked
+  // ones, so equal crossings keep event order -- for a strict weak order the
+  // one order std::stable_sort gives, without its buffer or the Delta^(1)
+  // lookups its comparator repeated.  Gates have a handful of inputs.
+  order.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t j = i;
+    for (; j > 0 && before(i, order[j - 1]); --j) order[j] = order[j - 1];
+    order[j] = i;
+  }
+}
+
 std::vector<std::size_t> dominanceOrder(const std::vector<InputEvent>& events,
                                         const SingleInputModelSet& singles,
                                         DominanceSense sense) {
-  std::vector<std::size_t> order(events.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     const double ca = predictedCrossing(events[a], singles);
-                     const double cb = predictedCrossing(events[b], singles);
-                     return sense == DominanceSense::EarliestFirst ? ca < cb
-                                                                   : ca > cb;
-                   });
+  std::vector<std::size_t> order;
+  std::vector<double> delay1, crossing;
+  dominanceOrder(events, singles, sense, order, delay1, crossing);
   return order;
 }
 

@@ -64,10 +64,20 @@ SenseResolver senseResolverFor(cells::GateType type);
 /// complex gate's spec).
 SenseResolver senseResolverFor(const Gate& gate);
 
-/// Indices of @p events sorted by dominance (most dominant first) in the
-/// given sense.  Ties are broken by event order, matching the paper's
-/// observation that with identical inputs "our algorithm will identify one
-/// of the inputs as the dominant one and proceed".
+/// Step 1 into caller-owned buffers (their capacity is reused across arcs):
+/// takes each event's Delta^(1) once into @p delay1, its predicted crossing
+/// (tRef + Delta^(1)) into @p crossing, and sorts the event indices in
+/// @p order by dominance (most dominant first) in the given sense.  The sort
+/// is a stable insertion sort over the crossings, so ties are broken by
+/// event order, matching the paper's observation that with identical inputs
+/// "our algorithm will identify one of the inputs as the dominant one and
+/// proceed".  Throws when an event's single-input model is missing.
+void dominanceOrder(const std::vector<InputEvent>& events,
+                    const SingleInputModelSet& singles, DominanceSense sense,
+                    std::vector<std::size_t>& order,
+                    std::vector<double>& delay1, std::vector<double>& crossing);
+
+/// The dominance order alone (the buffered overload above, fresh buffers).
 std::vector<std::size_t> dominanceOrder(const std::vector<InputEvent>& events,
                                         const SingleInputModelSet& singles,
                                         DominanceSense sense);

@@ -64,7 +64,7 @@ void ProximityFold::start(const std::vector<InputEvent>& events,
   idx_ = 1;
   windowExits_ = windowSkipped_ = 0;
   if (options_.orderByDominance) {
-    order_ = dominanceOrder(events, singles, sense);
+    dominanceOrder(events, singles, sense, order_, delay1_, crossing_);
     // A dominance reordering is any deviation from arrival order in the
     // sense direction (ascending tRef for earliest-first, descending for
     // latest-first) -- the paper's Step 1 doing real work rather than
@@ -86,7 +86,8 @@ void ProximityFold::start(const std::vector<InputEvent>& events,
   }
   y1_ = events[order_[0]];
   const SingleInputModel& m1 = singles.at(y1_.pin, y1_.edge);
-  d1_ = m1.delay(y1_.tau);
+  // Step 2 reuses the Delta^(1) that Step 1 took for its dominance order.
+  d1_ = options_.orderByDominance ? delay1_[order_[0]] : m1.delay(y1_.tau);
   t1_ = m1.transition(y1_.tau);
   dCum_ = d1_;
   tCum_ = t1_;
@@ -316,15 +317,17 @@ ProximityResult classicDelay(const std::vector<InputEvent>& events,
                              DominanceSense sense,
                              const SingleInputModelSet& singles) {
   PROX_OBS_COUNT("model.proximity.classic_computes", 1);
-  const std::vector<std::size_t> order = dominanceOrder(events, singles, sense);
+  // The STA's classic mode calls this once per arc: reuse Step 1's buffers.
+  thread_local std::vector<std::size_t> order;
+  thread_local std::vector<double> delay1, crossing;
+  dominanceOrder(events, singles, sense, order, delay1, crossing);
   const InputEvent& y1 = events[order[0]];
-  const SingleInputModel& m1 = singles.at(y1.pin, y1.edge);
 
   ProximityResult res;
   res.dominantPin = y1.pin;
   res.processedPins.push_back(y1.pin);
-  res.delay = m1.delay(y1.tau);
-  res.transitionTime = m1.transition(y1.tau);
+  res.delay = delay1[order[0]];
+  res.transitionTime = singles.at(y1.pin, y1.edge).transition(y1.tau);
   res.outputRefTime = y1.tRef + res.delay;
   return res;
 }

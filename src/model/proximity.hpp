@@ -108,9 +108,10 @@ struct ProximityResult {
 class ProximityFold {
  public:
   /// Steps 1-2: orders @p events (non-empty, same-direction, outliving the
-  /// fold's use) and seeds the recurrence with the dominant input's
-  /// Delta^(1)/tau^(1).  Throws when a needed single-input model is missing.
-  /// Buffers keep their capacity across arcs.
+  /// fold's use) by dominance, taking each input's Delta^(1) once, and seeds
+  /// the recurrence with the dominant input's Delta^(1)/tau^(1).  Throws
+  /// when a needed single-input model is missing.  Buffers keep their
+  /// capacity across arcs.
   void start(const std::vector<InputEvent>& events, DominanceSense sense,
              const SingleInputModelSet& singles,
              const ProximityOptions& options);
@@ -145,6 +146,8 @@ class ProximityFold {
   DominanceSense sense_ = DominanceSense::EarliestFirst;
   ProximityOptions options_;
   std::vector<std::size_t> order_;
+  /// Step 1's per-event Delta^(1) and predicted crossings (dominanceOrder()).
+  std::vector<double> delay1_, crossing_;
   std::size_t idx_ = 1;  ///< position in order_ of the next input to visit
 
   InputEvent y1_;

@@ -59,6 +59,7 @@ NetId Netlist::internNet(const std::string& name) {
 }
 
 NetId Netlist::addPrimaryInput(const std::string& net) {
+  schedules_.clear();
   if (isDriven(net)) {
     throw std::invalid_argument("Netlist: net already driven: " + net);
   }
@@ -82,6 +83,7 @@ NodeId Netlist::addInstanceLenient(const std::string& name,
                                    const characterize::CharacterizedGate& cell,
                                    const std::vector<std::string>& inputNets,
                                    const std::string& outputNet) {
+  schedules_.clear();
   if (nodeCount() >= kInvalidIdValue) {
     throw std::length_error("Netlist: node count overflows 32-bit IDs");
   }
@@ -130,7 +132,16 @@ bool Netlist::isDriven(const std::string& net) const {
   return netIsPi_[id.value] != 0 || netDriver_[id.value].valid();
 }
 
-LevelizeResult Netlist::levelize(StructuralPolicy policy) const {
+const LevelizeResult& Netlist::levelize(StructuralPolicy policy) const {
+  const std::lock_guard<std::mutex> lock(schedules_.fill);
+  std::optional<LevelizeResult>& slot =
+      schedules_.byPolicy[static_cast<std::size_t>(policy)];
+  // A Reject failure throws out of computeLevels() and leaves the slot empty.
+  if (!slot) slot = computeLevels(policy);
+  return *slot;
+}
+
+LevelizeResult Netlist::computeLevels(StructuralPolicy policy) const {
   LevelizeResult out;
   const std::size_t n = nodeCount();
   const bool reject = policy == StructuralPolicy::Reject;

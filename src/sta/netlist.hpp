@@ -16,7 +16,14 @@
 // loop at its lowest-numbered instance and treating dangling inputs as
 // no-event nets -- so levelization can never infinite-loop or mis-level
 // (StructuralPolicy::Degrade).
+//
+// The levelized schedule is part of the netlist: levelize() computes it once
+// per policy and keeps it until the next mutation, so every analysis of an
+// unchanged netlist walks the same schedule.
 
+#include <array>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -145,9 +152,36 @@ class Netlist {
   /// nothing deeper; nodes within a level are independent of each other (the
   /// parallel STA evaluates a level concurrently) and appear in declaration
   /// order, so the schedule is deterministic.
-  LevelizeResult levelize(StructuralPolicy policy) const;
+  ///
+  /// The result is computed on first use per policy and kept: the reference
+  /// stays valid until the netlist's next mutation (addPrimaryInput,
+  /// addInstance, addInstanceLenient), which drops it.  A rejected graph is
+  /// never kept, so it throws (and counts) on every call.  Safe for
+  /// concurrent const use: callers racing to fill the schedule serialize on
+  /// a mutex, and the first one computes it.
+  const LevelizeResult& levelize(StructuralPolicy policy) const;
 
  private:
+  /// levelize()'s kept schedules, one slot per StructuralPolicy.  A copied
+  /// or moved netlist starts with none and levelizes on its own first use.
+  struct Schedules {
+    Schedules() = default;
+    Schedules(const Schedules&) {}
+    Schedules& operator=(const Schedules&) {
+      clear();
+      return *this;
+    }
+    void clear() {
+      for (std::optional<LevelizeResult>& slot : byPolicy) slot.reset();
+    }
+
+    std::mutex fill;
+    std::array<std::optional<LevelizeResult>, 2> byPolicy;
+  };
+
+  /// The uncached levelization behind levelize().
+  LevelizeResult computeLevels(StructuralPolicy policy) const;
+
   /// Interns @p name, growing the per-net arrays.
   NetId internNet(const std::string& name);
 
@@ -170,6 +204,8 @@ class Netlist {
 
   /// (net, losing node) pairs recorded by addInstanceLenient.
   std::vector<std::pair<NetId, NodeId>> extraDrivers_;
+
+  mutable Schedules schedules_;
 };
 
 }  // namespace prox::sta

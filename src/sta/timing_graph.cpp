@@ -48,10 +48,11 @@ void TimingAnalyzer::run() {
       options_.threads == 0 ? par::defaultThreadCount() : options_.threads;
 
   // Structural gate: under Reject a defective graph throws here, before any
-  // arc is evaluated; under Degrade the levelization below already has the
-  // loops broken and the defects recorded.
-  LevelizeResult structure = netlist_.levelize(options_.structural);
-  structuralIssues_ = std::move(structure.issues);
+  // arc is evaluated; under Degrade the netlist's schedule already has the
+  // loops broken and the defects recorded.  The schedule is levelized once
+  // per netlist and policy, so repeated analyses share it.
+  const LevelizeResult& structure = netlist_.levelize(options_.structural);
+  structuralIssues_ = structure.issues;
   levelCount_ = structure.levelCount();
   std::vector<char> structurallyDegraded(netlist_.nodeCount(), 0);
   for (const NodeId n : structure.degradedNodes) {

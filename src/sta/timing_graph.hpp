@@ -27,11 +27,13 @@ class TimingAnalyzer {
   void setInputArrival(const std::string& net, Arrival arrival);
   void setInputArrival(NetId net, Arrival arrival);
 
-  /// Propagates arrivals through the whole netlist.  Structural defects
-  /// (cycles, multiply-driven nets, undriven inputs) follow
-  /// options().structural: Reject throws DiagnosticError(StructuralError)
-  /// naming the defect; Degrade levelizes anyway (loops broken
-  /// deterministically) and records every issue in structuralIssues().
+  /// Propagates arrivals through the whole netlist along its levelized
+  /// schedule (Netlist::levelize(), computed on the netlist's first analysis
+  /// and reused until it changes).  Structural defects (cycles,
+  /// multiply-driven nets, undriven inputs) follow options().structural:
+  /// Reject throws DiagnosticError(StructuralError) naming the defect, on
+  /// every run; Degrade levelizes anyway (loops broken deterministically)
+  /// and records every issue in structuralIssues() on every run.
   /// Model-side per-arc failures follow options().allowDegraded: degraded
   /// arcs complete with a cruder estimate and are tallied in degradedArcs().
   void run();
@@ -60,7 +62,8 @@ class TimingAnalyzer {
     return structuralIssues_;
   }
 
-  /// Depth of the schedule the last run() levelized.
+  /// Depth of the schedule the last run() walked: the netlist's levelization
+  /// under options().structural, which the run reused if it was kept.
   std::size_t levelCount() const { return levelCount_; }
 
  private:

@@ -1,8 +1,9 @@
 #pragma once
 // The dense oracle the sparse solver is checked against: a row-major dense
-// matrix and LU factorization with partial pivoting, written the plain way.
-// linalg_test pins the oracle itself; sparse_solver_test cross-checks
-// SparseLu factor/refactor/solve against it.
+// matrix, LU factorization with partial pivoting and the vector norms and
+// difference that residual checks use, written the plain way.  linalg_test
+// pins the oracle itself; sparse_solver_test cross-checks SparseLu
+// factor/refactor/solve against it.
 
 #include <algorithm>
 #include <cassert>
@@ -17,6 +18,30 @@
 namespace prox::testref {
 
 using linalg::Vector;
+
+/// Euclidean norm of @p v.
+inline double norm2(const Vector& v) {
+  double s = 0.0;
+  for (double x : v) s += x * x;
+  return std::sqrt(s);
+}
+
+/// Infinity norm (largest absolute entry) of @p v.
+inline double normInf(const Vector& v) {
+  double s = 0.0;
+  for (double x : v) s = std::max(s, std::fabs(x));
+  return s;
+}
+
+/// Element-wise a - b. Sizes must match.
+inline Vector subtract(const Vector& a, const Vector& b) {
+  if (a.size() != b.size()) {
+    throw std::invalid_argument("testref::subtract: size mismatch");
+  }
+  Vector r(a.size());
+  for (std::size_t i = 0; i < a.size(); ++i) r[i] = a[i] - b[i];
+  return r;
+}
 
 /// Row-major dense matrix of doubles, zero-initialized.
 class Matrix {

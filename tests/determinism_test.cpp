@@ -11,11 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cells/pull_network.hpp"
@@ -487,6 +489,37 @@ TEST(LargeStaDeterminism, BlifRoundTripMatchesDirectBuild) {
   // complete circuit identity.
   EXPECT_EQ(largeChecksum(true, 2, sta::DelayMode::Proximity),
             kLargeProximityChecksum);
+}
+
+TEST(LargeStaDeterminism, ConcurrentAnalysesFillOneSchedule) {
+  // Four analyzers race to fill the schedule of one freshly built netlist:
+  // one of them levelizes it, and every one walks that schedule to the same
+  // bits.
+  const sta::SynthSpec spec = largeSpec();
+  sta::Netlist nl;
+  sta::buildNetlist(spec, largeLibrary(), &nl);
+  const auto levelized = obs::counter("sta.graph.nodes_levelized").value();
+  std::array<std::uint32_t, 4> sums{};
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < sums.size(); ++t) {
+    workers.emplace_back([&, t] {
+      sta::TimingAnalyzer ta(nl, sta::DelayMode::Proximity);
+      for (const auto& [net, arr] : sta::synthInputArrivals(spec)) {
+        ta.setInputArrival(net, arr);
+      }
+      ta.run();
+      EXPECT_EQ(ta.degradedArcs(), 0u);
+      sums[t] = arrivalChecksum(spec, ta);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (const std::uint32_t sum : sums) {
+    EXPECT_EQ(sum, kLargeProximityChecksum);
+  }
+  if (obs::kStatsCompiledIn) {
+    EXPECT_EQ(obs::counter("sta.graph.nodes_levelized").value() - levelized,
+              nl.nodeCount());
+  }
 }
 
 // --- batched dual-table lookups vs the scalar reference ---------------------

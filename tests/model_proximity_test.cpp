@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
 #include "test_util.hpp"
 
@@ -73,6 +75,36 @@ TEST(Dominance, CrossoverMatchesDelayDifference) {
   const auto order =
       model::dominanceOrder({a, b}, *cg.singles);
   EXPECT_EQ(order[0], 0u);
+}
+
+TEST(Dominance, BufferedOrderTakesEachDelayOnceAndKeepsTies) {
+  const auto& cg = testutil::nand3Model();
+  // Events 0 and 3 are identical (a tie in either sense); event 1 crosses
+  // first and event 2 last.
+  const std::vector<InputEvent> evs{{0, Edge::Falling, 0.0, 300e-12},
+                                    {1, Edge::Falling, -200e-12, 300e-12},
+                                    {2, Edge::Falling, 400e-12, 300e-12},
+                                    {0, Edge::Falling, 0.0, 300e-12}};
+  // Stale, longer buffers, as a fold reusing them across arcs holds.
+  std::vector<std::size_t> order(7, 99);
+  std::vector<double> delay1(7, -1.0), crossing(7, -1.0);
+  for (const auto sense : {model::DominanceSense::EarliestFirst,
+                           model::DominanceSense::LatestFirst}) {
+    model::dominanceOrder(evs, *cg.singles, sense, order, delay1, crossing);
+    ASSERT_EQ(delay1.size(), evs.size());
+    ASSERT_EQ(crossing.size(), evs.size());
+    for (std::size_t i = 0; i < evs.size(); ++i) {
+      EXPECT_EQ(delay1[i],
+                cg.singles->at(evs[i].pin, evs[i].edge).delay(evs[i].tau));
+      EXPECT_EQ(crossing[i], model::predictedCrossing(evs[i], *cg.singles));
+    }
+    const std::vector<std::size_t> expected =
+        sense == model::DominanceSense::EarliestFirst
+            ? std::vector<std::size_t>{1, 0, 3, 2}
+            : std::vector<std::size_t>{2, 0, 3, 1};
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(model::dominanceOrder(evs, *cg.singles, sense), expected);
+  }
 }
 
 TEST(Proximity, SingleEventReducesToSingleInputModel) {

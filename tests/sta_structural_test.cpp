@@ -1,13 +1,18 @@
 // Structural netlist validation: cycle detection with the offending path
-// named, multi-driver and dangling-net checks, and the
+// named, multi-driver and dangling-net checks, the
 // DelayCalcOptions::structural degradation ladder exercised end-to-end
 // through TimingAnalyzer at both settings (Reject throws a typed
 // StructuralError; Degrade completes with the defect tallied in
-// structuralIssues()/degradedArcNames()).
+// structuralIssues()/degradedArcNames()), and the netlist's kept schedule:
+// levelized once per netlist, dropped by a mutation, never kept for a
+// rejected graph.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <string>
 
 #include "obs/registry.hpp"
 #include "sta/timing_graph.hpp"
@@ -46,6 +51,10 @@ const StructuralIssue* findIssue(const std::vector<StructuralIssue>& issues,
   const auto it = std::find_if(issues.begin(), issues.end(),
                                [&](const auto& i) { return i.kind == kind; });
   return it == issues.end() ? nullptr : &*it;
+}
+
+std::uint64_t counterValue(const char* name) {
+  return obs::counter(name).value();
 }
 
 TEST(StructuralValidation, CleanNetlistHasNoIssues) {
@@ -144,19 +153,16 @@ TEST(StructuralValidation, DanglingInputIsNamed) {
 }
 
 TEST(StructuralValidation, EachKindCountsUnderItsOwnCounter) {
-  const auto value = [](const char* name) {
-    return obs::counter(name).value();
-  };
-  const auto cycles = value("sta.structural.cycles");
-  const auto dangling = value("sta.structural.dangling_inputs");
+  const auto cycles = counterValue("sta.structural.cycles");
+  const auto dangling = counterValue("sta.structural.dangling_inputs");
   (void)cyclicNetlist().levelize(StructuralPolicy::Degrade);
   Netlist nl;
   nl.addPrimaryInput("a");
   nl.addInstance("u1", testutil::nand2Model(), {"a", "floating"}, "y1");
   (void)nl.levelize(StructuralPolicy::Degrade);
   if (obs::kStatsCompiledIn) {
-    EXPECT_EQ(value("sta.structural.cycles") - cycles, 1u);
-    EXPECT_EQ(value("sta.structural.dangling_inputs") - dangling, 1u);
+    EXPECT_EQ(counterValue("sta.structural.cycles") - cycles, 1u);
+    EXPECT_EQ(counterValue("sta.structural.dangling_inputs") - dangling, 1u);
   }
 }
 
@@ -210,6 +216,105 @@ TEST(StructuralLadder, DegradeOnCleanGraphReportsNothing) {
   EXPECT_TRUE(ta.structuralIssues().empty());
   EXPECT_TRUE(ta.degradedArcNames().empty());
   EXPECT_EQ(ta.degradedArcs(), 0u);
+}
+
+// --- the kept schedule ------------------------------------------------------
+
+// Two stages, a and b switching, c stable: y1 falls, y2 rises.
+Netlist twoStageNetlist() {
+  const auto& cell = testutil::nand2Model();
+  Netlist nl;
+  nl.addPrimaryInput("a");
+  nl.addPrimaryInput("b");
+  nl.addPrimaryInput("c");
+  nl.addInstance("u1", cell, {"a", "b"}, "y1");
+  nl.addInstance("u2", cell, {"y1", "c"}, "y2");
+  return nl;
+}
+
+std::optional<sta::Arrival> analyzeTwoStage(const Netlist& nl) {
+  sta::TimingAnalyzer ta(nl, DelayMode::Proximity);
+  ta.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
+  ta.setInputArrival("b", {50e-12, 300e-12, Edge::Rising});
+  ta.run();
+  EXPECT_EQ(ta.levelCount(), 2u);
+  return ta.arrival("y2");
+}
+
+TEST(KeptSchedule, TwoRunsLevelizeOnce) {
+  const Netlist nl = twoStageNetlist();
+  const auto levelized = counterValue("sta.graph.nodes_levelized");
+  const auto first = analyzeTwoStage(nl);
+  const auto second = analyzeTwoStage(nl);
+  ASSERT_TRUE(first && second);
+  EXPECT_EQ(first->time, second->time);
+  EXPECT_EQ(first->slope, second->slope);
+  if (obs::kStatsCompiledIn) {
+    EXPECT_EQ(counterValue("sta.graph.nodes_levelized") - levelized,
+              nl.nodeCount());
+  }
+}
+
+TEST(KeptSchedule, MutationDropsTheSchedule) {
+  const auto& cell = testutil::nand2Model();
+  Netlist nl;
+  nl.addPrimaryInput("a");
+  nl.addPrimaryInput("b");
+  nl.addPrimaryInput("c");
+  nl.addInstance("u1", cell, {"a", "b"}, "y1");
+  ASSERT_EQ(nl.levelize(StructuralPolicy::Reject).levelCount(), 1u);
+  sta::TimingAnalyzer ta(nl, DelayMode::Proximity);
+  ta.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
+  ta.setInputArrival("b", {50e-12, 300e-12, Edge::Rising});
+  ta.run();
+  ASSERT_TRUE(ta.arrival("y1").has_value());
+
+  // A gate on existing nets: the next levelize() and run() must see it.
+  nl.addInstance("u2", cell, {"y1", "c"}, "y2");
+  const sta::LevelizeResult& res = nl.levelize(StructuralPolicy::Reject);
+  ASSERT_EQ(res.levelCount(), 2u);
+  ASSERT_EQ(res.level(sta::LevelId(1u)).size(), 1u);
+  EXPECT_EQ(nl.nodeName(res.level(sta::LevelId(1u))[0]), "u2");
+  ta.run();
+  EXPECT_EQ(ta.levelCount(), 2u);
+  const auto y2 = ta.arrival("y2");
+  ASSERT_TRUE(y2.has_value());
+  EXPECT_GT(y2->time, ta.arrival("y1")->time);
+}
+
+TEST(KeptSchedule, RejectIsNeverKept) {
+  const Netlist nl = cyclicNetlist();
+  sta::TimingAnalyzer ta(nl, DelayMode::Proximity);  // default: Reject
+  ta.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
+  const auto rejects = counterValue("sta.structural.rejects");
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    try {
+      ta.run();
+      ADD_FAILURE() << "expected DiagnosticError(StructuralError)";
+    } catch (const DiagnosticError& e) {
+      EXPECT_EQ(e.code(), StatusCode::StructuralError);
+    }
+  }
+  if (obs::kStatsCompiledIn) {
+    EXPECT_EQ(counterValue("sta.structural.rejects") - rejects, 2u);
+  }
+}
+
+TEST(KeptSchedule, DegradeReportsOnEveryRun) {
+  const Netlist nl = cyclicNetlist();
+  sta::DelayCalcOptions opts;
+  opts.structural = StructuralPolicy::Degrade;
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    // A fresh analyzer per run: the second walks the kept schedule.
+    sta::TimingAnalyzer ta(nl, DelayMode::Proximity, opts);
+    ta.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
+    ta.run();
+    EXPECT_NE(findIssue(ta.structuralIssues(), Kind::Cycle), nullptr);
+    const auto& names = ta.degradedArcNames();
+    EXPECT_NE(std::find(names.begin(), names.end(), "u1"), names.end());
+  }
 }
 
 }  // namespace
