@@ -44,6 +44,12 @@ void TimingAnalyzer::run() {
   degradedArcNames_.clear();
   structuralIssues_.clear();
   syncArrivalStorage();
+  // Only the primary inputs' arrivals carry over from a previous run: a net
+  // read before this run writes it (a loop break) must see no event, not
+  // the last run's answer.
+  for (std::uint32_t i = 0; i < hasArrival_.size(); ++i) {
+    if (!netlist_.netIsPrimaryInput(NetId(i))) hasArrival_[i] = 0;
+  }
   const int threads =
       options_.threads == 0 ? par::defaultThreadCount() : options_.threads;
 

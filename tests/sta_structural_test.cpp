@@ -305,16 +305,44 @@ TEST(KeptSchedule, DegradeReportsOnEveryRun) {
   const Netlist nl = cyclicNetlist();
   sta::DelayCalcOptions opts;
   opts.structural = StructuralPolicy::Degrade;
+  // One analyzer for both runs: the second walks the kept schedule.
+  sta::TimingAnalyzer ta(nl, DelayMode::Proximity, opts);
+  ta.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
   for (int run = 0; run < 2; ++run) {
     SCOPED_TRACE("run " + std::to_string(run));
-    // A fresh analyzer per run: the second walks the kept schedule.
-    sta::TimingAnalyzer ta(nl, DelayMode::Proximity, opts);
-    ta.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
     ta.run();
     EXPECT_NE(findIssue(ta.structuralIssues(), Kind::Cycle), nullptr);
     const auto& names = ta.degradedArcNames();
     EXPECT_NE(std::find(names.begin(), names.end(), "u1"), names.end());
   }
+}
+
+// A loop-break gate reads its ring input before the run writes it, so a
+// second run of one analyzer must see that net as quiet again, not the
+// first run's falling y3 next to the rising a.
+TEST(KeptSchedule, SecondRunStartsFromTheInputsAlone) {
+  const Netlist nl = cyclicNetlist();
+  sta::DelayCalcOptions opts;
+  opts.structural = StructuralPolicy::Degrade;
+  sta::TimingAnalyzer fresh(nl, DelayMode::Proximity, opts);
+  fresh.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
+  fresh.run();
+
+  sta::TimingAnalyzer ta(nl, DelayMode::Proximity, opts);
+  ta.setInputArrival("a", {0.0, 300e-12, Edge::Rising});
+  ta.run();
+  ASSERT_NO_THROW(ta.run());
+  for (const char* net : {"a", "b", "y0", "y1", "y2", "y3"}) {
+    SCOPED_TRACE(net);
+    const auto want = fresh.arrival(net);
+    const auto got = ta.arrival(net);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!want) continue;
+    EXPECT_EQ(got->time, want->time);
+    EXPECT_EQ(got->slope, want->slope);
+    EXPECT_EQ(got->edge, want->edge);
+  }
+  EXPECT_EQ(ta.degradedArcNames(), fresh.degradedArcNames());
 }
 
 }  // namespace
