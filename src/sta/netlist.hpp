@@ -81,6 +81,12 @@ struct LevelizeResult {
 
 class Netlist {
  public:
+  /// Sizes the arena for about @p nets nets, @p nodes instances and @p pins
+  /// input pins in all -- the per-net and per-node arrays, the pin CSR and
+  /// both name indexes -- so a bulk build fills it without regrowing.  The
+  /// counts are hints: a build that exceeds them still works.
+  void reserve(std::size_t nets, std::size_t nodes, std::size_t pins);
+
   /// Declares a primary input net.  Throws std::invalid_argument when the
   /// net is already driven.
   NetId addPrimaryInput(const std::string& net);
@@ -100,6 +106,12 @@ class Netlist {
   NodeId addInstanceLenient(const std::string& name,
                             const characterize::CharacterizedGate& cell,
                             const std::vector<std::string>& inputNets,
+                            const std::string& outputNet);
+  /// The one implementation behind both adds, taking the input nets as any
+  /// contiguous run of names (a BLIF card's tokens, with no copy).
+  NodeId addInstanceLenient(const std::string& name,
+                            const characterize::CharacterizedGate& cell,
+                            std::span<const std::string> inputNets,
                             const std::string& outputNet);
 
   // --- Arena accessors (hot path: all O(1), no strings) ---------------------

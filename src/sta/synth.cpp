@@ -1,5 +1,6 @@
 #include "sta/synth.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -214,6 +215,12 @@ std::vector<std::string> buildNetlist(const SynthSpec& spec,
                                       const GateLibrary& library,
                                       Netlist* netlist) {
   validateSynthSpec(spec);
+  // One net per input and per gate; no gate reads more pins than the widest
+  // source layer offers or maxFanin allows.
+  const std::size_t gates = spec.gateCount();
+  netlist->reserve(spec.primaryInputs + gates, gates,
+                   gates * faninCapFor(spec, std::max(spec.primaryInputs,
+                                                      spec.width)));
   for (std::uint32_t k = 0; k < spec.primaryInputs; ++k) {
     netlist->addPrimaryInput(inputNetName(k));
   }
