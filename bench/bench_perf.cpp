@@ -17,6 +17,7 @@
 #include <ctime>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -222,12 +223,16 @@ BENCHMARK(BM_StaLevelizedRun)
 // -- netlist-scale STA -------------------------------------------------------
 // A 100k-gate synthetic circuit (100 layers x 1000 gates) over the analytic
 // cell library: the arena-backed graph at a size where storage layout and
-// levelization cost actually show.  BM_StaLargeBuild times graph
-// construction (string interning + CSR assembly); BM_StaLargeCircuit times
-// the full proximity delay calculation on the pre-built graph, with the
-// thread-scaling series on the same netlist.  The netlist keeps its
-// levelized schedule, so the first iteration levelizes and every later one
-// reuses the schedule: the cost of re-timing an unchanged netlist.
+// levelization cost actually show, and the circuit e2ebench's sta_wide
+// workload times.  BM_StaLargeBuild times graph construction (string
+// interning + CSR assembly); BM_StaBlifRead times the BLIF reader on the
+// same circuit's text (lexing, building, dropping the card form);
+// BM_StaLevelizeCold times the first levelize() of a netlist that has no
+// schedule yet.  BM_StaLargeCircuit times the full proximity delay
+// calculation on the pre-built graph, with the thread-scaling series on the
+// same netlist.  The netlist keeps its levelized schedule, so the first
+// iteration levelizes and every later one reuses the schedule: the cost of
+// re-timing an unchanged netlist.
 
 sta::SynthSpec largeCircuitSpec() {
   sta::SynthSpec spec;
@@ -262,6 +267,31 @@ void BM_StaLargeBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StaLargeBuild)->Unit(benchmark::kMillisecond);
+
+void BM_StaBlifRead(benchmark::State& state) {
+  const std::string blif = sta::generateBlifString(largeCircuitSpec());
+  for (auto _ : state) {
+    sta::Netlist nl;
+    sta::readBlifString(blif, largeCircuitLibrary(), &nl);
+    benchmark::DoNotOptimize(nl.nodeCount());
+  }
+}
+BENCHMARK(BM_StaBlifRead)->Unit(benchmark::kMillisecond);
+
+void BM_StaLevelizeCold(benchmark::State& state) {
+  // A copied netlist starts with no schedule.  The copy and the previous
+  // copy's destruction happen with the clock paused.
+  std::optional<sta::Netlist> nl;
+  for (auto _ : state) {
+    state.PauseTiming();
+    nl.reset();
+    nl.emplace(largeCircuitNetlist());
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(
+        nl->levelize(sta::StructuralPolicy::Reject).levelCount());
+  }
+}
+BENCHMARK(BM_StaLevelizeCold)->Unit(benchmark::kMillisecond);
 
 void BM_StaLargeCircuit(benchmark::State& state) {
   const sta::SynthSpec spec = largeCircuitSpec();
