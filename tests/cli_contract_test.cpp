@@ -110,6 +110,8 @@ const std::vector<Probe>& probes() {
       {"NetlistThreadsThenFlag", &kNetlist, "--threads --stats", 2},
       // I/O failures exit 1.
       {"StaUnwritableStats", &kSta, kBlif + " --stats=missing/s.json", 1},
+      // A tripped resource budget exits 7: golden30 holds 30 instances.
+      {"StaBlifOverNodeCap", &kSta, kBlif + " --max-nodes=3", 7},
       // --strict: 0 on a clean run, 3 when an arc degraded (a warning).
       {"StaStrictCleanBlif", &kSta, kBlif + " --strict", 0},
       {"StaStrictDegradedGraph", &kSta,
