@@ -383,7 +383,7 @@ void buildDualTables(model::GateSimulator& sim,
         evalPoint(sims[worker], i);
         heartbeat.tick();
       },
-      {.threads = config.threads, .failFast = true, .cancel = config.cancel});
+      {.threads = config.threads, .cancel = config.cancel});
   mergeDiagnostics(log, pointDiags);
 
   const std::size_t healedPoints = healTable(dt) + healTable(tt);
@@ -482,7 +482,7 @@ model::StepCorrection characterizeStepCorrection(
   par::parallelFor(
       tasks.size(),
       [&](std::size_t i, int worker) { evalTask(sims[worker], i); },
-      {.threads = threads, .failFast = true, .cancel = cancel});
+      {.threads = threads, .cancel = cancel});
   mergeDiagnostics(log, taskDiags);
 
   for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -562,7 +562,7 @@ CharacterizedGate characterizeFromGate(model::Gate gate,
     par::parallelFor(
         singleModels.size(),
         [&](std::size_t i, int worker) { singleTask(sims[worker], i); },
-        {.threads = config.threads, .failFast = true, .cancel = config.cancel});
+        {.threads = config.threads, .cancel = config.cancel});
     auto set = std::make_unique<model::SingleInputModelSet>();
     for (model::SingleInputModel& m : singleModels) set->set(std::move(m));
     out.singles = std::move(set);

@@ -119,21 +119,6 @@ Histogram& Registry::histogram(std::string_view name) {
   return *it->second;
 }
 
-void Registry::setLabel(std::string_view name, std::string_view value) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  auto it = labels_.find(name);
-  if (it == labels_.end()) {
-    labels_.emplace(std::string(name), std::string(value));
-  } else {
-    it->second.assign(value);
-  }
-}
-
-std::map<std::string, std::string> Registry::labels() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  return {labels_.begin(), labels_.end()};
-}
-
 void Registry::visit(
     const std::function<void(const std::string&, const Counter&)>& onCounter,
     const std::function<void(const std::string&, const Timer&)>& onTimer,
@@ -310,10 +295,6 @@ Counter& counter(std::string_view name) {
 
 Timer& timer(std::string_view name) {
   return Registry::instance().timer(name);
-}
-
-void setLabel(std::string_view name, std::string_view value) {
-  Registry::instance().setLabel(name, value);
 }
 
 void resetAll() { Registry::instance().resetAll(); }

@@ -258,14 +258,6 @@ class Registry {
   /// Returns the histogram named @p name, creating it on first use.
   Histogram& histogram(std::string_view name);
 
-  /// Sets (or replaces) a free-form string label.  Labels describe ambient
-  /// process facts rather than event tallies, so resetAll() leaves them in
-  /// place.
-  void setLabel(std::string_view name, std::string_view value);
-
-  /// Snapshot of every label in name order.
-  std::map<std::string, std::string> labels() const;
-
   /// Enumerates every instrument in name order under the registry lock.
   /// Intended for snapshotting (obs::snapshot()), not for hot paths.  The
   /// histogram callback may be empty (older callers predate histograms).
@@ -306,16 +298,14 @@ class Registry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Timer>, std::less<>> timers_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::string, std::less<>> labels_;
   std::vector<std::unique_ptr<detail::ThreadCache>> caches_;
 };
 
 /// Convenience shorthands for Registry::instance().counter()/timer()/
-/// histogram()/setLabel().
+/// histogram().
 Counter& counter(std::string_view name);
 Timer& timer(std::string_view name);
 Histogram& histogram(std::string_view name);
-void setLabel(std::string_view name, std::string_view value);
 
 /// Zeroes every instrument in the process registry.
 void resetAll();

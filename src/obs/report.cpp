@@ -38,9 +38,6 @@ const HistogramSample* Report::histogramNamed(const std::string& name) const {
 Report snapshot() {
   Report r;
   r.enabled = enabled();
-  for (const auto& [name, value] : Registry::instance().labels()) {
-    r.labels.emplace_back(name, value);
-  }
   Registry::instance().visit(
       [&](const std::string& name, const Counter& c) {
         r.counters.push_back({name, c.value()});
@@ -134,17 +131,6 @@ void writeJson(const Report& report, std::ostream& os) {
     os << "  \"run_timestamp\": \"";
     jsonEscape(report.runTimestamp, os);
     os << "\",\n";
-  }
-  if (!report.labels.empty()) {
-    os << "  \"labels\": {";
-    for (std::size_t i = 0; i < report.labels.size(); ++i) {
-      os << (i == 0 ? "\n" : ",\n") << "    \"";
-      jsonEscape(report.labels[i].first, os);
-      os << "\": \"";
-      jsonEscape(report.labels[i].second, os);
-      os << "\"";
-    }
-    os << "\n  },\n";
   }
   os << "  \"counters\": {";
   for (std::size_t i = 0; i < report.counters.size(); ++i) {
@@ -557,16 +543,6 @@ Report parseJson(const std::string& text) {
     } else if (key == "run_timestamp") {
       if (!v.is(json::Value::Kind::String)) reportFail("expected string");
       r.runTimestamp = v.str;
-    } else if (key == "labels") {
-      if (!v.is(json::Value::Kind::Object)) {
-        reportFail("labels must be an object");
-      }
-      for (const auto& [name, lv] : v.object) {
-        if (!lv.is(json::Value::Kind::String)) {
-          reportFail("label value must be a string");
-        }
-        r.labels.emplace_back(name, lv.str);
-      }
     } else if (key == "counters") {
       if (!v.is(json::Value::Kind::Object)) {
         reportFail("counters must be an object");

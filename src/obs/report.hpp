@@ -8,7 +8,6 @@
 //     "build_type": "release",          // optional; omitted when unset
 //     "git_sha": "abc1234...",          // optional; omitted when unset
 //     "run_timestamp": "2026-01-02T03:04:05Z",  // optional ISO-8601 UTC
-//     "labels": { "<name>": "<value>", ... },   // optional; omitted when empty
 //     "counters": { "<name>": <uint64>, ... },
 //     "timers": {
 //       "<name>": { "count": <uint64>, "total_s": <double>,
@@ -30,12 +29,13 @@
 // sub-buckets per octave); mean/p50/p90/p99 are derived fields, recomputable
 // from count/sum/buckets.
 //
-// Version history: v1 (PR 1) had no schema_version key and no histograms;
-// v2 (PR 3) added histograms and the version key; v3 (PR 9) added the
-// optional labels section (small string facts about the process);
-// v4 (PR 10) added the optional git_sha / run_timestamp provenance stamps so
-// perf trajectories can be assembled across commits.  parseJson accepts all
-// four and reports the version it read.
+// Version history: v1 had no schema_version key and no histograms; v2 added
+// histograms and the version key; v3 added an optional labels section,
+// which nothing ever filled and which writer and reader have since dropped
+// (a "labels" key is now refused as unknown); v4 added the optional git_sha
+// / run_timestamp provenance stamps so perf trajectories can be assembled
+// across commits.  parseJson accepts all four and reports the version it
+// read.
 
 #include <cstdint>
 #include <iosfwd>
@@ -121,9 +121,6 @@ struct Report {
   /// which commit and when a run happened).  Empty means omitted.
   std::string gitSha;
   std::string runTimestamp;  ///< ISO-8601 UTC, e.g. "2026-01-02T03:04:05Z"
-  /// Small string facts from the registry, sorted by name.  Omitted from the
-  /// JSON when empty.
-  std::vector<std::pair<std::string, std::string>> labels;
   std::vector<CounterSample> counters;
   std::vector<TimerSample> timers;
   std::vector<HistogramSample> histograms;

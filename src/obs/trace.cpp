@@ -11,8 +11,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/registry.hpp"
-
 namespace prox::obs::trace {
 
 namespace detail {
@@ -301,12 +299,6 @@ void counterSample(const char* name, std::uint64_t value) noexcept {
 void instant(const char* name) noexcept {
   if (!active()) return;
   detail::emit('i', name, detail::nowNs(), 0, 0, nullptr, 0);
-}
-
-void attachCounterSnapshot(const char* traceName,
-                           std::string_view counterName) noexcept {
-  if (!active()) return;
-  counterSample(traceName, obs::counter(counterName).value());
 }
 
 void setCurrentThreadName(std::string name) noexcept {

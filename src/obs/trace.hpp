@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 namespace prox::obs::trace {
 
@@ -61,13 +60,6 @@ void counterSample(const char* name, std::uint64_t value) noexcept;
 
 /// Emits an instant marker.
 void instant(const char* name) noexcept;
-
-/// Reads the merged registry counter @p counterName and attaches its current
-/// value as a counter sample named @p traceName (a string literal).  Cold
-/// path: takes the registry lock; intended for heartbeats / phase edges, not
-/// inner loops.
-void attachCounterSnapshot(const char* traceName,
-                           std::string_view counterName) noexcept;
 
 /// Names the calling thread's track in the exported trace (interned copy).
 void setCurrentThreadName(std::string name) noexcept;
@@ -186,7 +178,8 @@ class TraceSession {
 #define PROX_OBS_TRACE_INSTANT(name) \
   do {                               \
   } while (0)
-#define PROX_OBS_THREAD_NAME(name) \
-  do {                             \
+#define PROX_OBS_THREAD_NAME(name)                   \
+  do {                                               \
+    static_cast<void>(sizeof((name), 0));            \
   } while (0)
 #endif

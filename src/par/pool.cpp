@@ -1,6 +1,7 @@
 #include "par/pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <string>
 
@@ -44,11 +45,7 @@ void setDefaultThreadCount(int threads) {
                           std::memory_order_relaxed);
 }
 
-ThreadPool::ThreadPool(int threads) {
-  queues_.resize(kMaxThreads);
-  workers_.reserve(kMaxThreads);
-  ensureWorkers(threads);
-}
+ThreadPool::ThreadPool(int threads) { ensureWorkers(threads); }
 
 ThreadPool::~ThreadPool() {
   {
@@ -56,45 +53,33 @@ ThreadPool::~ThreadPool() {
     stopping_ = true;
   }
   cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
+  for (auto& worker : workers_) worker.join();
 }
 
-int ThreadPool::threadCount() const noexcept {
-  return workerCount_.load(std::memory_order_acquire);
+int ThreadPool::threadCount() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(workers_.size());
 }
 
 void ThreadPool::ensureWorkers(int threads) {
-  threads = clampThreads(threads);
+  const auto target = static_cast<std::size_t>(clampThreads(threads));
   std::lock_guard<std::mutex> lock(mu_);
-  int count = workerCount_.load(std::memory_order_acquire);
-  while (count < threads) {
-    if (queues_[static_cast<std::size_t>(count)] == nullptr) {
-      queues_[static_cast<std::size_t>(count)] =
-          std::make_unique<WorkerQueue>();
-    }
-    const int self = count;
-    // Publish the queue before the worker (or a thief) can reach it.
-    workerCount_.store(count + 1, std::memory_order_release);
+  while (workers_.size() < target) {
+    const int self = static_cast<int>(workers_.size());
     workers_.emplace_back([this, self] { workerLoop(self); });
-    ++count;
     PROX_OBS_COUNT("par.pool.workers_started", 1);
   }
 }
 
 void ThreadPool::submit(std::function<void()> task) {
-  const int count = workerCount_.load(std::memory_order_acquire);
-  const auto slot = static_cast<std::size_t>(
-      nextQueue_.fetch_add(1, std::memory_order_relaxed) %
-      static_cast<std::uint64_t>(count));
   {
-    std::lock_guard<std::mutex> lock(queues_[slot]->mu);
-    queues_[slot]->tasks.push_back(std::move(task));
+    // Enqueue under the mutex the workers' wait predicate reads, so a worker
+    // between its empty-queue check and its wait cannot miss this task.
+    std::lock_guard<std::mutex> lock(mu_);
+    tasks_.push_back(std::move(task));
+    PROX_OBS_TRACE_COUNTER("par.pool.queue_depth", tasks_.size());
   }
-  const std::size_t depth = pending_.fetch_add(1, std::memory_order_release) + 1;
   PROX_OBS_COUNT("par.pool.tasks_submitted", 1);
-  PROX_OBS_TRACE_COUNTER("par.pool.queue_depth", depth);
   cv_.notify_one();
 }
 
@@ -109,60 +94,32 @@ ThreadPool& ThreadPool::global(int threads) {
   return *pool;
 }
 
-bool ThreadPool::runOneTask(int self) {
-  std::function<void()> task;
-  const int count = workerCount_.load(std::memory_order_acquire);
-  // Own queue first (LIFO back: cache-warm, recently pushed)...
-  {
-    auto& q = *queues_[static_cast<std::size_t>(self)];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (!q.tasks.empty()) {
-      task = std::move(q.tasks.back());
-      q.tasks.pop_back();
-    }
-  }
-  // ...then steal from siblings (FIFO front: oldest, likely largest work).
-  if (!task) {
-    for (int i = 1; i < count && !task; ++i) {
-      const auto victim = static_cast<std::size_t>((self + i) % count);
-      auto& q = *queues_[victim];
-      std::lock_guard<std::mutex> lock(q.mu);
-      if (!q.tasks.empty()) {
-        task = std::move(q.tasks.front());
-        q.tasks.pop_front();
-        PROX_OBS_COUNT("par.pool.tasks_stolen", 1);
-      }
-    }
-  }
-  if (!task) return false;
-  const std::size_t depth = pending_.fetch_sub(1, std::memory_order_acq_rel) - 1;
-  PROX_OBS_TRACE_COUNTER("par.pool.queue_depth", depth);
-  {
-    PROX_OBS_SPAN("par.task");
-    task();
-  }
-  PROX_OBS_COUNT("par.pool.tasks_run", 1);
-  return true;
-}
-
 void ThreadPool::workerLoop(int self) {
   t_onWorker = true;
   PROX_OBS_THREAD_NAME("pool-worker-" + std::to_string(self));
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (runOneTask(self)) continue;
-    // The idle span brackets the cv wait so a trace shows each worker's
-    // utilization gaps next to its par.task spans.
-    PROX_OBS_SPAN("par.pool.idle");
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [this] {
-      return stopping_ || pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stopping_ && pending_.load(std::memory_order_acquire) == 0) break;
-  }
-  // Final drain so ~ThreadPool leaves no submitted task unexecuted.  The
-  // obs thread-cache reaper folds this thread's counters into the retired
-  // tally when the thread exits; no explicit flush is required.
-  while (runOneTask(self)) {
+    if (tasks_.empty()) {
+      // Only an empty queue ends a stopping worker, so ~ThreadPool leaves no
+      // submitted task unexecuted.  The obs thread-cache reaper folds this
+      // thread's counters into the retired tally when the thread exits.
+      if (stopping_) return;
+      // The idle span brackets the wait so a trace shows each worker's
+      // utilization gaps next to its par.task spans.
+      PROX_OBS_SPAN("par.pool.idle");
+      cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
+      continue;
+    }
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    PROX_OBS_TRACE_COUNTER("par.pool.queue_depth", tasks_.size());
+    lock.unlock();
+    {
+      PROX_OBS_SPAN("par.task");
+      task();
+    }
+    PROX_OBS_COUNT("par.pool.tasks_run", 1);
+    lock.lock();
   }
 }
 

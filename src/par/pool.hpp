@@ -1,16 +1,16 @@
 #pragma once
-// Work-stealing thread pool shared by the characterization sweeps and the
-// levelized STA delay calculator.
+// Thread pool behind par::parallelFor, shared by the characterization sweeps
+// and the levelized STA delay calculator.
 //
 // Design constraints (and how they are met):
 //   * Deterministic results regardless of thread count -> the pool never
 //     decides *where* a result goes, only *when* a task runs; callers
 //     (par::parallelFor) pre-size result slots and key every task by its
 //     loop index, so placement and reduction order are fixed at submit time.
-//   * No idle convoys -> each worker owns a deque (push/pop at the back);
-//     an out-of-work worker steals from the front of a sibling's deque, so
-//     an uneven task mix (one slow transient among hundreds of fast ones)
-//     rebalances without a central queue bottleneck.
+//   * One load balancer -> every task is a parallelFor helper that takes
+//     loop indices from its loop's shared counter, so an uneven task mix
+//     (one slow transient among hundreds of fast ones) rebalances there;
+//     the pool itself is one FIFO queue under the mutex its workers wait on.
 //   * Nested parallelism must not deadlock -> a worker thread that reaches
 //     another parallel region runs that region's loop alone, with no
 //     helpers (see parallelFor's guard); ThreadPool::onWorkerThread()
@@ -21,10 +21,8 @@
 // default) runs on its caller alone and never touches it.
 
 #include <condition_variable>
-#include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -48,17 +46,17 @@ class ThreadPool {
   /// Starts @p threads workers (clamped to [1, kMaxThreads]).
   explicit ThreadPool(int threads);
 
-  /// Drains nothing: outstanding tasks submitted but not yet run are
-  /// executed before the workers exit, so joining is always clean.
+  /// Drains the queue: tasks submitted but not yet run are executed before
+  /// the workers exit, so joining is always clean.
   ~ThreadPool();
 
-  int threadCount() const noexcept;
+  int threadCount() const;
 
   /// Grows the pool to at least @p threads workers (clamped to kMaxThreads).
   void ensureWorkers(int threads);
 
-  /// Enqueues @p task onto the least-recently-fed worker deque.  Tasks must
-  /// not throw (parallelFor catches at the task boundary before submitting).
+  /// Appends @p task to the queue and wakes one worker.  Tasks must not
+  /// throw (parallelFor catches at the task boundary before submitting).
   void submit(std::function<void()> task);
 
   /// True when the calling thread is a worker of *any* ThreadPool -- the
@@ -74,25 +72,13 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
  private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void workerLoop(int self);
-  bool runOneTask(int self);
 
-  // Fixed-capacity slot array so workers can scan victims without racing a
-  // reallocation; [0, workerCount_) entries are live.
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-  std::atomic<int> workerCount_{0};
-  std::atomic<std::uint64_t> nextQueue_{0};  // round-robin submit cursor
-  std::atomic<std::size_t> pending_{0};      // tasks enqueued, not yet taken
-
-  std::mutex mu_;  // guards cv_ sleep/wake and worker creation
+  mutable std::mutex mu_;  // guards tasks_, stopping_ and workers_
   std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
   bool stopping_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace prox::par

@@ -213,7 +213,7 @@ RecoveryOutcome solveNewtonRecover(const Circuit& ckt, linalg::Vector& x,
   ws.xEntry.assign(x.begin(), x.end());
 
   out.status = solveNewton(ckt, x, sc, opt, ws);
-  if (out.status.converged || !recovery.enabled) return out;
+  if (out.status.converged) return out;
 
   // Rung 1: damping tightening.  Smaller per-iteration voltage moves with a
   // larger iteration budget walk through sharp device nonlinearities that

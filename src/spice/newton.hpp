@@ -71,7 +71,6 @@ struct NewtonStatus {
 
 /// Escalation policy for solveNewtonRecover and the transient stepper.
 struct RecoveryOptions {
-  bool enabled = true;
   /// Rung 1 (damping tightening): maxVoltageStep is multiplied by this and
   /// the iteration budget by dampingIterationsFactor.
   double dampingFactor = 0.2;
@@ -87,7 +86,7 @@ struct RecoveryOptions {
 
 /// Which recovery rung produced the final status.
 enum class RecoveryRung {
-  Plain = 0,     ///< no escalation needed (or ladder disabled)
+  Plain = 0,     ///< no escalation needed
   Damping = 1,   ///< tightened per-iteration voltage damping
   GminRamp = 2,  ///< gmin continuation from a heavy shunt
 };

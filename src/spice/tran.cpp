@@ -109,15 +109,14 @@ TranResult transient(Circuit& ckt, const TranOptions& opt) {
 
     sc.time = t + hTry;
     sc.dt = hTry;
-    sc.trapezoidal = opt.trapezoidal && !nextStepBE && !beOnly;
+    sc.trapezoidal = !nextStepBE && !beOnly;
 
     xNew.assign(x.begin(), x.end());  // previous solution as predictor
     NewtonStatus st;
     // Plain halving handles routine non-convergence; the per-step recovery
     // ladder (damping tightening, gmin ramp) only engages once the step has
     // collapsed near hmin and halving is clearly not the cure.
-    const bool desperate = opt.recovery.enabled &&
-                           hTry <= opt.recovery.ladderStepFactor * opt.hmin;
+    const bool desperate = hTry <= opt.recovery.ladderStepFactor * opt.hmin;
     if (desperate) {
       PROX_OBS_COUNT("spice.tran.recovery.ladder_solves", 1);
       const RecoveryOutcome ro =
@@ -165,7 +164,7 @@ TranResult transient(Circuit& ckt, const TranOptions& opt) {
       if (h < opt.hmin) {
         // Final recovery rung before giving up: restart the step at a sane
         // size with backward-Euler-only integration for the rest of the run.
-        if (opt.recovery.enabled && opt.trapezoidal && !beOnly) {
+        if (!beOnly) {
           beOnly = true;
           h = hmax / 64.0;
           lastRejectDv = -1.0;

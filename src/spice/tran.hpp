@@ -23,13 +23,11 @@ struct TranOptions {
   double hmax = 0.0;       ///< max step; 0 selects tstop/200
   double hmin = 1e-18;     ///< absolute minimum step before giving up
   double dvMax = 0.05;     ///< max node-voltage change per accepted step [V]
-  bool trapezoidal = true; ///< false forces backward Euler everywhere
   NewtonOptions newton;
   /// Fault-tolerance ladder: once halving approaches hmin, failed steps are
   /// retried with tightened damping and a gmin ramp (solveNewtonRecover);
   /// as a last rung the run switches to BE-only integration before a typed
-  /// timestep-underflow diagnostic is raised.  recovery.enabled = false
-  /// restores the original fail-fast stepper.
+  /// timestep-underflow diagnostic is raised.
   RecoveryOptions recovery;
   /// Optional caller-owned solver workspace.  When set, the run binds it
   /// (a no-op when already bound to the circuit's pattern) and numerically

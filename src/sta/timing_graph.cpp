@@ -112,7 +112,7 @@ void TimingAnalyzer::run() {
                             mode_, options_,
                             std::span(results).subspan(begin, count));
         },
-        {.threads = threads, .failFast = true, .cancel = options_.cancel});
+        {.threads = threads, .cancel = options_.cancel});
     for (std::size_t i = 0; i < level.size(); ++i) {
       const NodeId node = level[i];
       if (results[i].arrival) {

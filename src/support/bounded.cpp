@@ -56,10 +56,14 @@ AllocationBudget::AllocationBudget(const char* site, std::size_t inputBytes,
 
 void AllocationBudget::charge(std::size_t bytes, const char* what, int line) {
   if (bytes > cap_ - charged_) {  // charged_ <= cap_ invariant: no underflow
+    const std::size_t maxSz = std::numeric_limits<std::size_t>::max();
+    const std::string need = bytes > maxSz - charged_
+                                 ? "more than " + std::to_string(maxSz)
+                                 : std::to_string(charged_ + bytes);
     failResource(site_,
                  std::string("allocation budget exceeded reading ") + what +
-                     " (declared sizes need > " + std::to_string(cap_) +
-                     " bytes for a " + std::to_string(cap()) +
+                     " (declared sizes need " + need + " bytes for a " +
+                     std::to_string(cap_) +
                      "-byte budget derived from the input size)",
                  line);
   }

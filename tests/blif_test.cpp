@@ -214,7 +214,7 @@ TEST(BlifReject, ExhaustedBudgetPinsEveryCharge) {
   EXPECT_EQ(d.code, StatusCode::ResourceExhausted);
   EXPECT_EQ(d.message,
             "allocation budget exceeded reading instance nets (declared sizes "
-            "need > 1448 bytes for a 1448-byte budget derived from the input "
+            "need 1449 bytes for a 1448-byte budget derived from the input "
             "size)");
   EXPECT_EQ(d.line, 9);
 

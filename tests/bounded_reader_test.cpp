@@ -100,7 +100,14 @@ TEST(BoundedReader, BudgetCapScalesWithInputSize) {
   const auto d = expectTyped(StatusCode::ResourceExhausted,
                              [&] { b.charge(101, "payload", 7); });
   EXPECT_NE(d.message.find("allocation budget exceeded"), std::string::npos);
+  EXPECT_NE(d.message.find("need 4101 bytes for a 4100-byte budget"),
+            std::string::npos);
   EXPECT_EQ(d.line, 7);
+  // A need past size_t is reported as such, not wrapped.
+  const auto past = expectTyped(StatusCode::ResourceExhausted, [&] {
+    b.charge(std::numeric_limits<std::size_t>::max(), "payload");
+  });
+  EXPECT_NE(past.message.find("need more than "), std::string::npos);
 }
 
 TEST(BoundedReader, BudgetChargeItemsRejectsMultiplicationOverflow) {

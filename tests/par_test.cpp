@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -23,7 +25,6 @@
 namespace {
 
 using namespace prox;
-using par::ParallelOptions;
 using par::ThreadPool;
 
 // -- pool lifecycle ----------------------------------------------------------
@@ -75,6 +76,28 @@ TEST(ThreadPool, SubmittedTasksRunOnWorkerThreads) {
   }
   EXPECT_TRUE(onWorker.load());
   EXPECT_FALSE(ThreadPool::onWorkerThread());
+}
+
+TEST(ThreadPool, EverySubmittedTaskRunsWhileItsSubmitterWaits) {
+  // A one-worker pool parks between tasks, so every submit must wake it: a
+  // wakeup lost between the worker's empty-queue check and its wait would
+  // strand the task while its submitter waits on it.  Declared before the
+  // pool, so a stranded task drained by ~ThreadPool still finds them alive.
+  std::mutex mu;
+  std::condition_variable ranCv;
+  int ran = 0;
+  ThreadPool pool(1);
+  for (int i = 0; i < 20000; ++i) {
+    pool.submit([&] {
+      std::lock_guard<std::mutex> lock(mu);
+      ++ran;
+      ranCv.notify_one();
+    });
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(ranCv.wait_for(lock, std::chrono::seconds(10),
+                               [&] { return ran == i + 1; }))
+        << "task " << i << " did not run within 10 s";
+  }
 }
 
 TEST(ThreadPool, GlobalPoolGrowsOnDemand) {
@@ -141,15 +164,6 @@ TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   checkCoversEveryIndexOnce(8, 3);    // threads > items
 }
 
-TEST(ParallelFor, ChunkedGrabsStillCoverEverything) {
-  std::vector<std::atomic<int>> hits(100);
-  for (auto& h : hits) h.store(0);
-  par::parallelFor(
-      hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
-      {.threads = 4, .chunk = 7});
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 TEST(ParallelFor, SlotPlacementMatchesSerial) {
   const std::size_t n = 512;
   std::vector<double> serial(n), parallel(n);
@@ -193,89 +207,59 @@ TEST(ParallelFor, LowestIndexFailureWins) {
   }
 }
 
-TEST(ParallelForCollect, FailuresSortedWithDiagnostics) {
-  auto failures = par::parallelForCollect(
-      20,
-      [](std::size_t i) {
-        if (i == 13 || i == 4 || i == 17) {
-          throw std::runtime_error("bad point");
-        }
-      },
-      {.threads = 4});
-  ASSERT_EQ(failures.size(), 3u);
-  EXPECT_EQ(failures[0].index, 4u);
-  EXPECT_EQ(failures[1].index, 13u);
-  EXPECT_EQ(failures[2].index, 17u);
-  EXPECT_NE(failures[0].diagnostic.message.find("bad point"),
-            std::string::npos);
-  EXPECT_NE(failures[0].diagnostic.message.find("(task 4)"),
-            std::string::npos);
-  EXPECT_TRUE(failures[0].exception != nullptr);
+TEST(ParallelFor, DiagnosticErrorPayloadSurvives) {
+  try {
+    par::parallelFor(
+        3,
+        [](std::size_t i) {
+          if (i == 2) {
+            throw support::DiagnosticError(
+                support::makeDiagnostic(support::StatusCode::SimulationFailed,
+                                        "injected")
+                    .withSite("par_test.site")
+                    .withPin(1));
+          }
+        },
+        {.threads = 2});
+    FAIL() << "expected DiagnosticError";
+  } catch (const support::DiagnosticError& e) {
+    EXPECT_EQ(e.code(), support::StatusCode::SimulationFailed);
+    EXPECT_EQ(e.diagnostic().site, "par_test.site");
+    EXPECT_EQ(e.diagnostic().pin, 1);
+  }
 }
 
-TEST(ParallelForCollect, DiagnosticErrorPayloadSurvives) {
-  auto failures = par::parallelForCollect(
-      3,
-      [](std::size_t i) {
-        if (i == 2) {
-          throw support::DiagnosticError(
-              support::makeDiagnostic(support::StatusCode::SimulationFailed,
-                                      "injected")
-                  .withSite("par_test.site")
-                  .withPin(1));
-        }
-      },
-      {.threads = 2});
-  ASSERT_EQ(failures.size(), 1u);
-  EXPECT_EQ(failures[0].diagnostic.code, support::StatusCode::SimulationFailed);
-  EXPECT_EQ(failures[0].diagnostic.site, "par_test.site");
-  EXPECT_EQ(failures[0].diagnostic.pin, 1);
-}
-
-TEST(ParallelForCollect, FailFastSerialStopsAtFirstFailure) {
+TEST(ParallelFor, FailFastSerialStopsAtFirstFailure) {
   std::vector<int> ran(10, 0);
-  auto failures = par::parallelForCollect(
-      10,
-      [&](std::size_t i) {
-        ran[i] = 1;
-        if (i == 3) throw std::runtime_error("stop here");
-      },
-      {.threads = 1, .failFast = true});
-  ASSERT_EQ(failures.size(), 1u);
-  EXPECT_EQ(failures[0].index, 3u);
+  EXPECT_THROW(par::parallelFor(
+                   10,
+                   [&](std::size_t i) {
+                     ran[i] = 1;
+                     if (i == 3) throw std::runtime_error("stop here");
+                   },
+                   {.threads = 1}),
+               std::runtime_error);
   // Serial fail-fast matches a plain loop: nothing after the throw runs.
   EXPECT_EQ(std::accumulate(ran.begin(), ran.end(), 0), 4);
 }
 
-TEST(ParallelForCollect, FailFastParallelStillReportsLowestFailure) {
-  auto failures = par::parallelForCollect(
-      100,
-      [&](std::size_t i) {
-        if (i >= 10) throw std::runtime_error("late failure");
-      },
-      {.threads = 4, .failFast = true});
-  ASSERT_FALSE(failures.empty());
-  EXPECT_GE(failures[0].index, 10u);
-}
-
 TEST(ParallelFor, FailFastParallelRaisesTheFailureASerialLoopWould) {
-  // One worker takes [0, 2) and the other [2, 4).  While task 0 sleeps,
-  // task 2 fails; task 1 was already taken, so it still runs, and its
-  // failure is the one raised, as in a serial loop.
+  // One worker takes index 0 and the other index 1.  Task 1 fails at once
+  // and stops the loop, but task 0 was already taken, so it still runs; its
+  // later failure is the one raised, as in a serial loop.
   try {
     par::parallelFor(
         4,
         [](std::size_t i) {
           if (i == 0) {
             std::this_thread::sleep_for(std::chrono::milliseconds(50));
-            return;
           }
           throw std::runtime_error("task " + std::to_string(i));
         },
-        {.threads = 2, .chunk = 2, .failFast = true});
+        {.threads = 2});
     FAIL() << "expected a task failure";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "task 1");
+    EXPECT_STREQ(e.what(), "task 0");
   }
 }
 

@@ -375,31 +375,7 @@ TEST(TraceTest, V2ReportsStillParseWithoutLabels) {
   })";
   const obs::Report parsed = obs::parseJson(v2);
   EXPECT_EQ(parsed.schemaVersion, 2);
-  EXPECT_TRUE(parsed.labels.empty());
   EXPECT_EQ(parsed.counterValue("legacy.counter"), 7u);
-}
-
-TEST(TraceTest, LabelsRoundTripThroughReportSchemaV3) {
-  obs::setLabel("trace_test.label", "some value");
-  const obs::Report parsed = obs::parseJson(obs::toJson());
-  EXPECT_EQ(parsed.schemaVersion, 4);
-  bool found = false;
-  for (const auto& [name, value] : parsed.labels) {
-    if (name == "trace_test.label") {
-      found = true;
-      EXPECT_EQ(value, "some value");
-    }
-  }
-  EXPECT_TRUE(found);
-
-  // Labels are ambient process facts: a stats reset leaves them in place so
-  // a post-run report still records them.
-  obs::resetAll();
-  bool foundAfterReset = false;
-  for (const auto& [name, value] : obs::snapshot().labels) {
-    if (name == "trace_test.label") foundAfterReset = true;
-  }
-  EXPECT_TRUE(foundAfterReset);
 }
 
 TEST(TraceTest, ProvenanceStampsRoundTripThroughReportSchemaV4) {
